@@ -32,27 +32,19 @@ let create ?(l1i = Params.default_l1i) ?(l1d = default_l1d) ?(l2 = default_l2)
 let l2_line ~is_instr line = (line lsl 1) lor if is_instr then 1 else 0
 
 let access_l2 t ~thread ~is_instr line =
-  let hit = Set_assoc.access_line t.l2 (l2_line ~is_instr line) in
-  Cache_stats.record t.l2_stats ~thread ~hit;
-  if not hit then
+  if not (Icache.access t.l2 t.l2_stats ~thread ~block:(-1) (l2_line ~is_instr line)) then
     if is_instr then t.l2_instr_misses <- t.l2_instr_misses + 1
     else t.l2_data_misses <- t.l2_data_misses + 1
 
 let access_instr ?(block = -1) t ~thread ~line =
-  let hit =
-    match t.l1i_sink with
-    | None -> Set_assoc.access_line t.l1i line
-    | Some sink -> Set_assoc.access_line_profiled t.l1i sink ~thread ~block line
-  in
-  Cache_stats.record t.l1i_stats ~thread ~hit;
-  if not hit then access_l2 t ~thread ~is_instr:true line
+  if not (Icache.access ?sink:t.l1i_sink t.l1i t.l1i_stats ~thread ~block line) then
+    access_l2 t ~thread ~is_instr:true line
 
 let access_data t ~thread ~addr =
   if addr < 0 then invalid_arg "Hierarchy.access_data: negative address";
   let line = addr / (Set_assoc.params t.l1d).Params.line_bytes in
-  let hit = Set_assoc.access_line t.l1d line in
-  Cache_stats.record t.l1d_stats ~thread ~hit;
-  if not hit then access_l2 t ~thread ~is_instr:false line
+  if not (Icache.access t.l1d t.l1d_stats ~thread ~block:(-1) line) then
+    access_l2 t ~thread ~is_instr:false line
 
 (* Stats accessors sync the eviction totals from the cache models, so a
    snapshot taken at any point carries all four counters. *)

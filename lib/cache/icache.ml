@@ -8,14 +8,30 @@ type layout = {
 let lines_of_block ~params ~layout bid =
   Params.lines_spanned params ~addr:layout.addr.(bid) ~bytes:layout.bytes.(bid)
 
+(* The one demand-access routine of every replay: the LRU core, then the
+   stats, the optional sink and, on a miss, the optional next-line
+   prefetch. A fill's victim is reported to the sink as an eviction by the
+   prefetching thread, so the interference matrices conserve in hw mode. *)
 let access ?prefetch ?sink cache stats ~thread ~block line =
-  let hit =
-    match sink with
-    | None -> Set_assoc.access_line cache line
-    | Some s -> Set_assoc.access_line_profiled cache s ~thread ~block line
-  in
+  let r = Set_assoc.access cache line in
+  let hit = r = Set_assoc.hit in
   Cache_stats.record stats ~thread ~hit;
-  if not hit then Option.iter (fun p -> Prefetch.on_miss p cache stats line) prefetch
+  (match sink with
+  | None -> ()
+  | Some s -> Profile_sink.record s ~thread ~block ~line ~hit ~victim:(if hit then -1 else r));
+  (match prefetch with
+  | Some p when not hit ->
+    for l = line + 1 to line + Prefetch.degree p do
+      if not (Set_assoc.probe_line cache l) then begin
+        let victim = Set_assoc.fill_line cache l in
+        Cache_stats.record_prefetch stats;
+        match sink with
+        | None -> ()
+        | Some s -> Profile_sink.record_fill s ~thread ~block ~line:l ~victim
+      end
+    done
+  | _ -> ());
+  hit
 
 let solo ?prefetch ?sink ~params ~layout trace =
   let cache = Set_assoc.create params in
@@ -24,7 +40,7 @@ let solo ?prefetch ?sink ~params ~layout trace =
     (fun bid ->
       let first, last = lines_of_block ~params ~layout bid in
       for line = first to last do
-        access ?prefetch ?sink cache stats ~thread:0 ~block:bid line
+        ignore (access ?prefetch ?sink cache stats ~thread:0 ~block:bid line)
       done)
     trace;
   Cache_stats.set_evictions stats (Set_assoc.evictions cache);
@@ -39,8 +55,7 @@ type cursor = {
   mutable pos : int; (* index into trace *)
   mutable cur_block : int; (* block the next line belongs to *)
   mutable cur_line : int; (* next line to fetch *)
-  mutable last_line : int; (* last line of current block *)
-  mutable in_block : bool;
+  mutable last_line : int; (* last line of current block, < cur_line when spent *)
   mutable passes : int;
 }
 
@@ -53,15 +68,16 @@ let cursor_make trace layout ~line_offset =
     cur_block = -1;
     cur_line = 0;
     last_line = -1;
-    in_block = false;
     passes = 0;
   }
 
+(* The next line (offset into the thread's address region) to fetch;
+   [-1] only for an empty trace. *)
 let rec cursor_next ~params c =
-  if c.in_block && c.cur_line <= c.last_line then begin
+  if c.cur_line <= c.last_line then begin
     let l = c.cur_line in
     c.cur_line <- l + 1;
-    Some (l + c.line_offset)
+    l + c.line_offset
   end
   else if c.pos < Int_vec.length c.trace then begin
     let bid = Int_vec.get c.trace c.pos in
@@ -70,16 +86,14 @@ let rec cursor_next ~params c =
     c.cur_block <- bid;
     c.cur_line <- first;
     c.last_line <- last;
-    c.in_block <- true;
     cursor_next ~params c
   end
   else begin
     (* Completed a pass; restart so the peer keeps creating contention. *)
     c.passes <- c.passes + 1;
-    if Int_vec.length c.trace = 0 then None
+    if Int_vec.length c.trace = 0 then -1
     else begin
       c.pos <- 0;
-      c.in_block <- false;
       cursor_next ~params c
     end
   end
@@ -98,9 +112,9 @@ let shared ?prefetch ?sink ?(rates = (1.0, 1.0)) ~params ~layouts (t0, t1) =
   let c1 = cursor_make t1 l1 ~line_offset:offset_lines in
   let finished c = c.passes >= 1 in
   let step cursor ~thread =
-    Option.iter
-      (fun line -> access ?prefetch ?sink cache stats ~thread ~block:cursor.cur_block line)
-      (cursor_next ~params cursor)
+    let line = cursor_next ~params cursor in
+    if line >= 0 then
+      ignore (access ?prefetch ?sink cache stats ~thread ~block:cursor.cur_block line)
   in
   (* Both threads keep fetching (restarting at end of trace) until each has
      completed at least one full pass, so neither runs contention-free.

@@ -12,6 +12,21 @@ type layout = {
   bytes : int array;  (** Size per block id. *)
 }
 
+val access :
+  ?prefetch:Prefetch.t ->
+  ?sink:Profile_sink.t ->
+  Set_assoc.t ->
+  Cache_stats.t ->
+  thread:int ->
+  block:int ->
+  int ->
+  bool
+(** The one demand access every replay shares ({!solo}, {!shared}, the SMT
+    model, {!Hierarchy}): the {!Set_assoc} core, recorded in [stats] for
+    [thread] and attributed to [block] in [sink]. On a miss, [prefetch]
+    fills the next [degree] non-resident lines, each a prefetch in [stats]
+    and a {!Profile_sink.record_fill} by [thread]. [true] on a hit. *)
+
 val solo :
   ?prefetch:Prefetch.t ->
   ?sink:Profile_sink.t ->
@@ -22,7 +37,7 @@ val solo :
 (** Replay one block trace; stats have a single thread. When [sink] is
     given, every demand access is attributed to its block and cache set
     (and classified, see {!Profile_sink}); the sink's totals equal the
-    returned stats exactly. *)
+    returned stats exactly, with or without [prefetch]. *)
 
 val shared :
   ?prefetch:Prefetch.t ->

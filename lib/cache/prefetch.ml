@@ -5,13 +5,3 @@ let create ?(degree = 1) () =
   { degree }
 
 let degree t = t.degree
-
-let on_miss t cache stats line =
-  for l = line + 1 to line + t.degree do
-    if not (Set_assoc.probe_line cache l) then begin
-      Set_assoc.fill_line cache l;
-      Cache_stats.record_prefetch stats
-    end
-  done
-
-let none = None

@@ -3,7 +3,9 @@
     The paper observes (§III-C) that hardware-counter miss reductions are
     systematically smaller than simulated ones, naming prefetching as a
     cause. Enabling this prefetcher turns the pure simulator into the
-    "hardware-like" configuration used for Table II's hw-counter columns. *)
+    "hardware-like" configuration used for Table II's hw-counter columns.
+    The fills themselves happen in {!Icache.access}, the one demand-access
+    routine every replay shares. *)
 
 type t
 
@@ -11,10 +13,3 @@ val create : ?degree:int -> unit -> t
 (** [degree] next lines fetched on each demand miss (default 1). *)
 
 val degree : t -> int
-
-val on_miss : t -> Set_assoc.t -> Cache_stats.t -> int -> unit
-(** [on_miss t cache stats line] fills [line+1 .. line+degree] (recorded as
-    prefetches, not accesses). *)
-
-val none : t option
-(** Convenience for the pure-simulation configuration. *)

@@ -102,9 +102,35 @@ let ensure pt block =
   end;
   if block >= pt.hi then pt.hi <- block + 1
 
+let check_thread t i =
+  if i < 0 || i >= Array.length t.threads then
+    invalid_arg (Printf.sprintf "Profile_sink: bad thread %d" i)
+
+(* [thread] inserts [line] into set [set], evicting [victim] (or nothing
+   when [victim < 0]): charge the eviction to the evictor and the victim's
+   owner, remember who last evicted the victim, and hand [line] to
+   [thread]. *)
+let insert t pt ~thread ~block ~set ~line ~victim =
+  if victim >= 0 then begin
+    t.set_ev.(set) <- t.set_ev.(set) + 1;
+    pt.ev.(block) <- pt.ev.(block) + 1;
+    (* A victim with no recorded owner was inserted behind the sink's
+       back (pre-warmed state); charge it to the evictor so cross-thread
+       counts stay conservative. *)
+    let owner = match Hashtbl.find_opt t.owners victim with Some o -> o | None -> thread in
+    Hashtbl.remove t.owners victim;
+    Hashtbl.replace t.last_ev victim thread;
+    t.ev_mat.(thread).(owner) <- t.ev_mat.(thread).(owner) + 1;
+    if owner <> thread then begin
+      pt.ev_peer.(block) <- pt.ev_peer.(block) + 1;
+      let vset = Params.set_of_line t.params victim in
+      t.set_ev_cross.(vset) <- t.set_ev_cross.(vset) + 1
+    end
+  end;
+  Hashtbl.replace t.owners line thread
+
 let record t ~thread ~block ~line ~hit ~victim =
-  if thread < 0 || thread >= Array.length t.threads then
-    invalid_arg (Printf.sprintf "Profile_sink.record: bad thread %d" thread);
+  check_thread t thread;
   let block = if block < 0 then 0 else block in
   let set = Params.set_of_line t.params line in
   t.set_acc.(set) <- t.set_acc.(set) + 1;
@@ -129,26 +155,8 @@ let record t ~thread ~block ~line ~hit ~victim =
     | Some e ->
       t.miss_mat.(thread).(e) <- t.miss_mat.(thread).(e) + 1;
       if e <> thread then pt.miss_peer.(block) <- pt.miss_peer.(block) + 1);
-    if victim >= 0 then begin
-      t.set_ev.(set) <- t.set_ev.(set) + 1;
-      pt.ev.(block) <- pt.ev.(block) + 1;
-      (* A victim with no recorded owner was inserted behind the sink's
-         back (prefetch fills, pre-warmed state); charge it to the evictor
-         so cross-thread counts stay conservative. *)
-      let owner =
-        match Hashtbl.find_opt t.owners victim with Some o -> o | None -> thread
-      in
-      Hashtbl.remove t.owners victim;
-      Hashtbl.replace t.last_ev victim thread;
-      t.ev_mat.(thread).(owner) <- t.ev_mat.(thread).(owner) + 1;
-      if owner <> thread then begin
-        pt.ev_peer.(block) <- pt.ev_peer.(block) + 1;
-        let vset = Params.set_of_line t.params victim in
-        t.set_ev_cross.(vset) <- t.set_ev_cross.(vset) + 1
-      end
-    end;
     (* This miss fills [line]: the missing thread owns it from here on. *)
-    Hashtbl.replace t.owners line thread;
+    insert t pt ~thread ~block ~set ~line ~victim;
     if t.shadow <> None then
       if not (Hashtbl.mem t.seen line) then begin
         (* A hit implies an earlier access, so first touches are always
@@ -159,6 +167,13 @@ let record t ~thread ~block ~line ~hit ~victim =
       else if shadow_hit then pt.conf.(block) <- pt.conf.(block) + 1
       else pt.cap.(block) <- pt.cap.(block) + 1
   end
+
+let record_fill t ~thread ~block ~line ~victim =
+  check_thread t thread;
+  let block = if block < 0 then 0 else block in
+  let pt = t.threads.(thread) in
+  ensure pt block;
+  insert t pt ~thread ~block ~set:(Params.set_of_line t.params line) ~line ~victim
 
 let sum_field f t =
   Array.fold_left
@@ -190,10 +205,6 @@ let cold_misses t = sum_field (fun pt -> pt.cold) t
 let capacity_misses t = sum_field (fun pt -> pt.cap) t
 
 let conflict_misses t = sum_field (fun pt -> pt.conf) t
-
-let check_thread t i =
-  if i < 0 || i >= Array.length t.threads then
-    invalid_arg (Printf.sprintf "Profile_sink: bad thread %d" i)
 
 let thread_accesses t i =
   check_thread t i;

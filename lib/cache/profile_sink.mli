@@ -28,8 +28,10 @@
     Profiling is pay-as-you-go: the simulators take a sink as an option and
     their unprofiled hot paths are untouched; attaching a sink roughly
     doubles simulation cost (every access also updates the shadow LRU).
-    Classification assumes demand accesses only — prefetch fills bypass the
-    sink, so profile with prefetching disabled (the simulated mode).
+    Prefetch fills reach the sink through {!record_fill}: their evictions
+    enter the interference matrices and line ownership, so the
+    conservation laws hold in the hardware-like (prefetching) mode too.
+    Access, miss and 3C counts cover demand accesses only.
 
     The attribution invariant, asserted by the differential tests: with a
     sink attached to a whole simulation, {!accesses}/{!misses}/{!evictions}
@@ -58,6 +60,14 @@ val record : t -> thread:int -> block:int -> line:int -> hit:bool -> victim:int 
     unattributed accesses (e.g. {!Hierarchy} lines with no block context)
     are recorded under block 0 by the caller's convention.
     @raise Invalid_argument on a bad thread index. *)
+
+val record_fill : t -> thread:int -> block:int -> line:int -> victim:int -> unit
+(** Called by the simulators for every prefetch fill [thread] issues while
+    fetching [block]: the fill of [line] evicted [victim] ([-1] when it
+    filled an invalid way). Counts the eviction (per block, per set, in
+    {!ev_matrix}), records [thread] as the victim's last evictor and as
+    [line]'s owner; counts no access and no miss, and leaves the 3C
+    classifier alone. @raise Invalid_argument on a bad thread index. *)
 
 (** {1 Totals} *)
 

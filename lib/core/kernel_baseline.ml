@@ -145,17 +145,76 @@ let affine_pairs trace ~w =
    trace event inside the line expansion, and a fresh simulator — the
    costs the engine exists to amortize. *)
 
+(* The seed simulator under that evaluator, verbatim: an array of ways per
+   set with recency by position (index 0 is MRU), moves by [Array.blit],
+   driven by the seed [Icache.solo] line loop. The engine shares
+   [Set_assoc]'s core; this copy keeps the oracle independent of it. *)
+module Seed_cache = struct
+  module Params = Colayout_cache.Params
+  module Cache_stats = Colayout_cache.Cache_stats
+
+  type t = {
+    params : Params.t;
+    ways : int array array;
+    mutable evictions : int;
+  }
+
+  let create params =
+    {
+      params;
+      ways = Array.init params.Params.num_sets (fun _ -> Array.make params.Params.assoc (-1));
+      evictions = 0;
+    }
+
+  let find_way set line =
+    let rec loop i = if i >= Array.length set then -1 else if set.(i) = line then i else loop (i + 1) in
+    loop 0
+
+  let promote set i =
+    let line = set.(i) in
+    Array.blit set 0 set 1 i;
+    set.(0) <- line
+
+  let access_line t line =
+    let set = t.ways.(Params.set_of_line t.params line) in
+    let i = find_way set line in
+    if i >= 0 then begin
+      promote set i;
+      true
+    end
+    else begin
+      if set.(Array.length set - 1) >= 0 then t.evictions <- t.evictions + 1;
+      Array.blit set 0 set 1 (Array.length set - 1);
+      set.(0) <- line;
+      false
+    end
+
+  let solo ~params ~(layout : Layout.t) trace =
+    let cache = create params in
+    let stats = Cache_stats.create ~threads:1 () in
+    Colayout_util.Int_vec.iter
+      (fun bid ->
+        let first, last =
+          Params.lines_spanned params ~addr:layout.Layout.addr.(bid)
+            ~bytes:layout.Layout.bytes.(bid)
+        in
+        for line = first to last do
+          Cache_stats.record stats ~thread:0 ~hit:(access_line cache line)
+        done)
+      trace;
+    Cache_stats.set_evictions stats cache.evictions;
+    stats
+end
+
 let miss_ratio_of_function_order ~params program trace forder =
   let layout = Layout.of_function_order program forder in
   Colayout_cache.Cache_stats.miss_ratio
-    (Colayout_cache.Icache.solo ~params ~layout:(Layout.to_icache layout)
-       (Colayout_trace.Trace.events trace))
+    (Seed_cache.solo ~params ~layout (Colayout_trace.Trace.events trace))
 
 let miss_ratio_of_block_order ?function_stubs ~params program trace order =
   let layout = Layout.of_block_order ?function_stubs program order in
   Colayout_cache.Cache_stats.miss_ratio
-    (Colayout_cache.Icache.solo ~params ~layout:(Layout.to_icache layout)
-       (Colayout_trace.Trace.events trace))
+    (Seed_cache.solo ~params ~layout (Colayout_trace.Trace.events trace))
 
 let anneal_search ?(seed = 1) ?(steps = 300) ?initial ~params program trace =
   if steps <= 0 then invalid_arg "Anneal.search: steps must be positive";

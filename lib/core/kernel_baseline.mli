@@ -1,15 +1,20 @@
-(** The seed tuple-[Hashtbl] analysis kernels, kept verbatim.
+(** The seed tuple-[Hashtbl] analysis kernels, layout evaluator and LRU
+    cache simulator, kept verbatim.
 
-    PR 1 rebuilt {!Trg.build} and {!Affinity.affine_pairs} on flat
-    packed-int tables ([Int_pair_tbl]) with CSR finalization. These are the
-    original implementations — per-node [(int, int) Hashtbl.t] adjacency
-    with symmetric double storage, and [(int * int)]-keyed witness records —
-    retained for two jobs:
+    {!Trg.build} and {!Affinity.affine_pairs} now run on flat packed-int
+    tables ([Int_pair_tbl]) with CSR finalization, per-candidate layout
+    evaluation on {!Layout_eval}, and the simulators on one flat LRU core
+    ({!Colayout_cache.Set_assoc}). These are the original implementations
+    — per-node [(int, int) Hashtbl.t] adjacency with symmetric double
+    storage, [(int * int)]-keyed witness records, and an array-of-ways LRU
+    with [Array.blit] moves — retained for two jobs:
 
-    - differential-test oracles: the packed kernels must produce identical
-      edge sets / pair sets on any trimmed trace;
+    - differential-test oracles: the rewritten code must produce identical
+      edge sets / pair sets / miss ratios, checked against code it shares
+      nothing with;
     - honest benchmark baselines: [bench/main.exe] times both paths in the
-      same run and reports the speedup in [BENCH_kernels.json]. *)
+      same run and reports the speedups in [BENCH_kernels.json] and
+      [BENCH_layout_eval.json]. *)
 
 type legacy_trg = {
   num_nodes : int;
@@ -31,7 +36,12 @@ val affine_pairs : Colayout_trace.Trace.t -> w:int -> (int * int) list
     returning the sorted [(x, y)], [x < y] pair list — directly comparable
     to [Affinity.pair_list (Affinity.affine_pairs ...)]. *)
 
-(** {2 Seed layout evaluator (PR 5 oracle)} *)
+(** {2 Seed layout evaluator (the {!Layout_eval} oracle)}
+
+    It replays through a private copy of the seed array-of-ways LRU and
+    its solo line loop, since {!Layout_eval} now runs on the shared
+    {!Colayout_cache.Set_assoc} core: the oracle shares no replacement
+    code with the engine, and the bench baseline keeps the seed's cost. *)
 
 val miss_ratio_of_function_order :
   params:Colayout_cache.Params.t ->
@@ -40,7 +50,7 @@ val miss_ratio_of_function_order :
   int array ->
   float
 (** The seed [Optimal.miss_ratio_of_function_order], verbatim:
-    [Layout.of_function_order] + [Icache.solo] + [Cache_stats.miss_ratio],
+    [Layout.of_function_order] + the seed solo replay + [Cache_stats.miss_ratio],
     paying a fresh layout, a tuple per trace event and a fresh simulator
     per call. {!Layout_eval.miss_ratio_of_order} must match it
     bit-for-bit; [bench/main.exe --layout-eval-only] times both. *)

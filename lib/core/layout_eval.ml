@@ -1,18 +1,14 @@
 open Colayout_ir
 module Pool = Colayout_util.Pool
+module Set_assoc = Colayout_cache.Set_assoc
 
 (* The engine splits into an immutable precompiled part (shared by clones)
    and per-instance scratch buffers. All candidate evaluation state lives
    in the scratch: [order_buf] holds the lowered block order, [baddr] and
-   [bbytes] the streaming layout geometry, and [tags]/[vcnt]/[set_epoch]
-   the set-associative LRU state. Nothing is allocated per candidate.
-
-   Epoch-reset trick: a set's ways are valid only when [set_epoch.(s)]
-   equals the engine's current [cache_epoch]; bumping the epoch at the
-   start of a candidate invalidates the whole cache in O(1). Because lines
-   are only ever inserted at the MRU slot and shifted down, the valid ways
-   of a set always form a prefix, so a single [vcnt.(s)] valid-count per
-   set replaces per-way validity bits. *)
+   [bbytes] the streaming layout geometry, and [cache] the LRU state — a
+   [Set_assoc.t] whose [invalidate_all] is an O(1) epoch bump, so each
+   candidate starts from a cold cache without reallocating or clearing
+   anything. Nothing is allocated per candidate. *)
 
 type t = {
   (* Immutable precompiled state (shared between clones). *)
@@ -20,8 +16,8 @@ type t = {
   nb : int;
   line_shift : int; (* log2 line_bytes *)
   set_mask : int; (* num_sets - 1 *)
-  assoc : int;
   ev : int array; (* trace events, validated block ids *)
+  occ : int array; (* occurrences of each block in [ev] *)
   blk_size : int array; (* base body+terminator bytes per block *)
   blk_ft : int array; (* fallthrough target per block, or -1 *)
   blk_entry : bool array; (* is the block its function's entry? *)
@@ -32,10 +28,7 @@ type t = {
   order_buf : int array; (* nb: lowered block order of a function order *)
   baddr : int array; (* nb: per-block start address of the candidate *)
   bbytes : int array; (* nb: per-block size incl. added jumps *)
-  tags : int array; (* num_sets * assoc, way 0 of a set is MRU *)
-  vcnt : int array; (* num_sets: valid-prefix length *)
-  set_epoch : int array; (* num_sets: epoch the set was last touched in *)
-  mutable cache_epoch : int;
+  cache : Set_assoc.t;
   seen : int array; (* max nf nb: epoch-stamped permutation check *)
   mutable seen_epoch : int;
   (* Per-worker engine clones for eval_batch, keyed by the pool worker
@@ -91,15 +84,16 @@ let create ?pool ~params program trace =
       (fun i bid -> fn_blocks.(fn_off.(fid) + i) <- bid)
       (Program.func program fid).Program.blocks
   done;
-  let num_sets = params.Colayout_cache.Params.num_sets in
-  let assoc = params.Colayout_cache.Params.assoc in
   {
     nf;
     nb;
     line_shift = log2_exact params.Colayout_cache.Params.line_bytes;
-    set_mask = num_sets - 1;
-    assoc;
+    set_mask = params.Colayout_cache.Params.num_sets - 1;
     ev;
+    occ =
+      (let occ = Array.make (max 1 nb) 0 in
+       Array.iter (fun b -> occ.(b) <- occ.(b) + 1) ev;
+       occ);
     blk_size;
     blk_ft;
     blk_entry;
@@ -109,10 +103,7 @@ let create ?pool ~params program trace =
     order_buf = Array.make (max 1 nb) 0;
     baddr = Array.make (max 1 nb) 0;
     bbytes = Array.make (max 1 nb) 0;
-    tags = Array.make (num_sets * assoc) 0;
-    vcnt = Array.make num_sets 0;
-    set_epoch = Array.make num_sets 0;
-    cache_epoch = 0;
+    cache = Set_assoc.create params;
     seen = Array.make (max 1 (max nf nb)) 0;
     seen_epoch = 0;
     clones = [||];
@@ -129,10 +120,7 @@ let clone t =
     order_buf = Array.make (Array.length t.order_buf) 0;
     baddr = Array.make (Array.length t.baddr) 0;
     bbytes = Array.make (Array.length t.bbytes) 0;
-    tags = Array.make (Array.length t.tags) 0;
-    vcnt = Array.make (Array.length t.vcnt) 0;
-    set_epoch = Array.make (Array.length t.set_epoch) 0;
-    cache_epoch = 0;
+    cache = Set_assoc.create (Set_assoc.params t.cache);
     seen = Array.make (Array.length t.seen) 0;
     seen_epoch = 0;
     clones = [||];
@@ -193,71 +181,23 @@ let layout_pass_into t order ~function_stubs ~baddr ~bbytes =
 let layout_pass t order ~function_stubs =
   layout_pass_into t order ~function_stubs ~baddr:t.baddr ~bbytes:t.bbytes
 
-(* Fused line expansion + set-associative LRU simulation: one pass over the
-   precompiled event array, counting accesses and misses in locals. The
-   replacement decisions are exactly [Set_assoc.access_line]'s (scan for
-   the tag, promote on hit, shift-and-insert at MRU on miss), so the
-   hit/miss sequence — and therefore the final ratio — matches the seed
-   simulator bit-for-bit. *)
+(* One [Set_assoc.access_blocks] pass expands every event into its lines
+   and replays them through the LRU core every simulator shares, so the
+   hit/miss sequence, and therefore the final ratio, matches the seed
+   simulator bit-for-bit. The access count needs no second trace walk:
+   each block contributes its occurrence count times its line span. *)
 let simulate t =
-  t.cache_epoch <- t.cache_epoch + 1;
-  let ep = t.cache_epoch in
-  let ev = t.ev and baddr = t.baddr and bbytes = t.bbytes in
-  let tags = t.tags and vcnt = t.vcnt and set_epoch = t.set_epoch in
-  let shift = t.line_shift and mask = t.set_mask and assoc = t.assoc in
-  let acc = ref 0 and miss = ref 0 in
-  for e = 0 to Array.length ev - 1 do
-    let bid = Array.unsafe_get ev e in
-    let addr = Array.unsafe_get baddr bid in
-    let first = addr asr shift in
-    let last = (addr + Array.unsafe_get bbytes bid - 1) asr shift in
-    acc := !acc + (last - first + 1);
-    for line = first to last do
-      let s = line land mask in
-      let base = s * assoc in
-      let k =
-        if Array.unsafe_get set_epoch s = ep then Array.unsafe_get vcnt s
-        else begin
-          Array.unsafe_set set_epoch s ep;
-          Array.unsafe_set vcnt s 0;
-          0
-        end
-      in
-      (* MRU fast path: sequential code re-touches the line a fall-through
-         neighbour just ended in, so way 0 hits are the common case — and
-         they need no state change at all. *)
-      if k > 0 && Array.unsafe_get tags base = line then ()
-      else begin
-        let i = ref 1 in
-        while !i < k && Array.unsafe_get tags (base + !i) <> line do
-          incr i
-        done;
-        if !i < k then begin
-          (* Hit: promote way [i] to MRU. The shifts are open-coded — an
-             [Array.blit] pays a C-call per access, which at assoc <= 4
-             costs more than the one or two moves it performs. *)
-          let j = ref !i in
-          while !j > 0 do
-            Array.unsafe_set tags (base + !j) (Array.unsafe_get tags (base + !j - 1));
-            decr j
-          done;
-          Array.unsafe_set tags base line
-        end
-        else begin
-          (* Miss: evict LRU by shifting the whole set down one. *)
-          incr miss;
-          let j = ref (assoc - 1) in
-          while !j > 0 do
-            Array.unsafe_set tags (base + !j) (Array.unsafe_get tags (base + !j - 1));
-            decr j
-          done;
-          Array.unsafe_set tags base line;
-          if k < assoc then Array.unsafe_set vcnt s (k + 1)
-        end
-      end
-    done
+  let cache = t.cache in
+  Set_assoc.invalidate_all cache;
+  let baddr = t.baddr and bbytes = t.bbytes and shift = t.line_shift and occ = t.occ in
+  let miss = Set_assoc.access_blocks cache ~line_shift:shift ~addr:baddr ~bytes:bbytes t.ev in
+  let acc = ref 0 in
+  for b = 0 to t.nb - 1 do
+    let addr = Array.unsafe_get baddr b in
+    let lines = ((addr + Array.unsafe_get bbytes b - 1) asr shift) - (addr asr shift) + 1 in
+    acc := !acc + (Array.unsafe_get occ b * lines)
   done;
-  if !acc = 0 then 0.0 else float_of_int !miss /. float_of_int !acc
+  if !acc = 0 then 0.0 else float_of_int miss /. float_of_int !acc
 
 let miss_ratio_of_block_order ?(function_stubs = false) t order =
   check_perm t "block" t.nb order;
@@ -423,70 +363,26 @@ module Delta = struct
       t.touch_ev <- tev
     end
 
-  (* One line access against the engine's epoch-stamped LRU scratch; the
-     same replacement decisions as [simulate]'s fused loop (kept separate:
-     that loop is the full-eval hot path and stays hand-fused). *)
-  let[@inline] access_line t ~ep line =
-    let s = line land t.set_mask in
-    let base = s * t.assoc in
-    let tags = t.tags and vcnt = t.vcnt and set_epoch = t.set_epoch in
-    let k =
-      if Array.unsafe_get set_epoch s = ep then Array.unsafe_get vcnt s
-      else begin
-        Array.unsafe_set set_epoch s ep;
-        Array.unsafe_set vcnt s 0;
-        0
-      end
-    in
-    if k > 0 && Array.unsafe_get tags base = line then false
-    else begin
-      let i = ref 1 in
-      while !i < k && Array.unsafe_get tags (base + !i) <> line do
-        incr i
-      done;
-      if !i < k then begin
-        let j = ref !i in
-        while !j > 0 do
-          Array.unsafe_set tags (base + !j) (Array.unsafe_get tags (base + !j - 1));
-          decr j
-        done;
-        Array.unsafe_set tags base line;
-        false
-      end
-      else begin
-        let j = ref (t.assoc - 1) in
-        while !j > 0 do
-          Array.unsafe_set tags (base + !j) (Array.unsafe_get tags (base + !j - 1));
-          decr j
-        done;
-        Array.unsafe_set tags base line;
-        if k < t.assoc then Array.unsafe_set vcnt s (k + 1);
-        true
-      end
-    end
-
-  (* Cold-cache walk of the whole trace under the session geometry,
-     recounting every per-set counter — the resync/recovery primitive. *)
-  let recount_into sess ~set_acc ~set_miss =
+  (* Cold-cache replay under the session geometry of the lines that land
+     in dirty sets (stamped with the current [stamp]), counting per set
+     into [set_acc]/[set_miss]: the first [n] event positions of [relev]
+     when given, else the whole trace. *)
+  let walk ?relev sess ~n ~set_acc ~set_miss =
     let eng = sess.eng in
+    Set_assoc.invalidate_all eng.cache;
+    Set_assoc.access_blocks_by_set ?pos:relev eng.cache ~line_shift:eng.line_shift
+      ~addr:sess.s_baddr ~bytes:sess.s_bbytes ~n ~live:sess.dirty_stamp ~stamp:sess.stamp
+      ~set_acc ~set_miss eng.ev
+
+  (* The whole trace from cold, recounting every per-set counter — the
+     resync/recovery primitive. Only called with no move pending, so it
+     may take a fresh stamp and mark every set dirty. *)
+  let recount_into sess ~set_acc ~set_miss =
     Array.fill set_acc 0 (Array.length set_acc) 0;
     Array.fill set_miss 0 (Array.length set_miss) 0;
-    eng.cache_epoch <- eng.cache_epoch + 1;
-    let ep = eng.cache_epoch in
-    let ev = eng.ev and baddr = sess.s_baddr and bbytes = sess.s_bbytes in
-    let shift = eng.line_shift and mask = eng.set_mask in
-    for e = 0 to Array.length ev - 1 do
-      let bid = Array.unsafe_get ev e in
-      let addr = Array.unsafe_get baddr bid in
-      let first = addr asr shift in
-      let last = (addr + Array.unsafe_get bbytes bid - 1) asr shift in
-      for line = first to last do
-        let s = line land mask in
-        Array.unsafe_set set_acc s (Array.unsafe_get set_acc s + 1);
-        if access_line eng ~ep line then
-          Array.unsafe_set set_miss s (Array.unsafe_get set_miss s + 1)
-      done
-    done
+    sess.stamp <- sess.stamp + 1;
+    Array.fill sess.dirty_stamp 0 (Array.length sess.dirty_stamp) sess.stamp;
+    walk sess ~n:(Array.length sess.eng.ev) ~set_acc ~set_miss
 
   let sum a =
     let acc = ref 0 in
@@ -690,57 +586,6 @@ module Delta = struct
         mark (line land eng.set_mask)
       done
 
-  (* Replay the gathered relevant events (ascending trace positions),
-     simulating only the lines that land in dirty sets. *)
-  let replay sess ~n =
-    let eng = sess.eng in
-    eng.cache_epoch <- eng.cache_epoch + 1;
-    let ep = eng.cache_epoch in
-    let ev = eng.ev and baddr = sess.s_baddr and bbytes = sess.s_bbytes in
-    let shift = eng.line_shift and mask = eng.set_mask in
-    let dirty = sess.dirty_stamp and stamp = sess.stamp in
-    let set_acc = sess.set_acc and set_miss = sess.set_miss in
-    let relev = sess.relev in
-    for i = 0 to n - 1 do
-      let bid = Array.unsafe_get ev (Array.unsafe_get relev i) in
-      let addr = Array.unsafe_get baddr bid in
-      let first = addr asr shift in
-      let last = (addr + Array.unsafe_get bbytes bid - 1) asr shift in
-      for line = first to last do
-        let s = line land mask in
-        if Array.unsafe_get dirty s = stamp then begin
-          Array.unsafe_set set_acc s (Array.unsafe_get set_acc s + 1);
-          if access_line eng ~ep line then
-            Array.unsafe_set set_miss s (Array.unsafe_get set_miss s + 1)
-        end
-      done
-    done
-
-  (* Same, but walking the whole event array: cheaper than gather + sort
-     once most of the trace is relevant (the 100 %-dirty regime). *)
-  let replay_full_walk sess =
-    let eng = sess.eng in
-    eng.cache_epoch <- eng.cache_epoch + 1;
-    let ep = eng.cache_epoch in
-    let ev = eng.ev and baddr = sess.s_baddr and bbytes = sess.s_bbytes in
-    let shift = eng.line_shift and mask = eng.set_mask in
-    let dirty = sess.dirty_stamp and stamp = sess.stamp in
-    let set_acc = sess.set_acc and set_miss = sess.set_miss in
-    for e = 0 to Array.length ev - 1 do
-      let bid = Array.unsafe_get ev e in
-      let addr = Array.unsafe_get baddr bid in
-      let first = addr asr shift in
-      let last = (addr + Array.unsafe_get bbytes bid - 1) asr shift in
-      for line = first to last do
-        let s = line land mask in
-        if Array.unsafe_get dirty s = stamp then begin
-          Array.unsafe_set set_acc s (Array.unsafe_get set_acc s + 1);
-          if access_line eng ~ep line then
-            Array.unsafe_set set_miss s (Array.unsafe_get set_miss s + 1)
-        end
-      done
-    done
-
   let check_pos sess what p =
     if p < 0 || p >= sess.eng.nf then
       invalid_arg (Printf.sprintf "Layout_eval.Delta.%s: position %d out of [0,%d)" what p
@@ -866,7 +711,9 @@ module Delta = struct
       if 2 * !r >= len then begin
         sess.st_full_walks <- sess.st_full_walks + 1;
         sess.st_replayed <- sess.st_replayed + len;
-        replay_full_walk sess
+        (* Cheaper than gather + sort once most of the trace is relevant
+           (the 100 %-dirty regime). *)
+        walk sess ~n:len ~set_acc:sess.set_acc ~set_miss:sess.set_miss
       end
       else begin
         let pos = ref 0 in
@@ -878,7 +725,7 @@ module Delta = struct
         done;
         radix_sort sess sess.relev !pos;
         sess.st_replayed <- sess.st_replayed + !pos;
-        replay sess ~n:!pos
+        walk sess ~relev:sess.relev ~n:!pos ~set_acc:sess.set_acc ~set_miss:sess.set_miss
       end;
       for i = 0 to sess.u_nset - 1 do
         let s = sess.u_set.(i) in

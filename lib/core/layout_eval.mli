@@ -13,19 +13,24 @@
     - the trace and per-block geometry (sizes, fallthrough targets, entry
       flags, per-function block lists) are precompiled into flat [int]
       arrays at construction;
-    - layout construction, line expansion and LRU cache simulation are
-      fused into one streaming pass over preallocated scratch buffers — no
-      intermediate {!Colayout_trace.Trace.t}, no per-candidate {!Layout.t};
-    - cache state is reset between candidates by bumping an {e epoch
-      stamp} checked on every set lookup, instead of reallocating (or even
-      clearing) the way arrays.
+    - layout construction writes preallocated scratch geometry, and
+      line expansion streams straight into the cache — no intermediate
+      {!Colayout_trace.Trace.t}, no per-candidate {!Layout.t};
+    - the cache is one {!Colayout_cache.Set_assoc.t} per engine (and per
+      clone), the LRU core every simulator shares; it is reset between
+      candidates by its O(1) epoch bump instead of being reallocated (or
+      even cleared). Full evaluation replays through
+      {!Colayout_cache.Set_assoc.access_blocks}, delta sessions through
+      {!Colayout_cache.Set_assoc.access_blocks_by_set}; the engine has no
+      replacement code of its own.
 
     Results are bit-equal to the seed evaluator
-    ({!Kernel_baseline.miss_ratio_of_function_order}, i.e.
-    [Layout.of_function_order] + [Icache.solo] + [Cache_stats.miss_ratio]):
-    the engine performs the same line-access sequence against the same LRU
-    replacement decisions and divides the same integer counters, so the
-    returned [float] is identical, not merely close. [test_layout_eval.ml]
+    ({!Kernel_baseline.miss_ratio_of_function_order}: [Layout.of_function_order],
+    the seed solo replay over the seed array-of-ways LRU, then
+    [Cache_stats.miss_ratio]): the engine performs the same line-access
+    sequence against the same LRU replacement decisions and divides the
+    same integer counters, so the returned [float] is identical, not
+    merely close. [test_layout_eval.ml]
     proves this differentially over random programs, orders and cache
     geometries. *)
 
@@ -122,12 +127,12 @@ val clones_built : t -> int
     audit — it recounts every set from scratch and fails loudly if the
     incremental ledger ever diverges — not error control.
 
-    A session shares the engine's immutable precompiled state and its LRU
-    scratch, so do not interleave a session call with a concurrent
-    {!miss_ratio_of_order} on the same engine from another domain (the
-    same single-owner rule the engine itself has). Interleaved {e
-    sequential} full evaluations are safe: the session owns its geometry
-    and ledger. *)
+    A session shares the engine's immutable precompiled state and its
+    {!Colayout_cache.Set_assoc.t}, so do not interleave a session call
+    with a concurrent {!miss_ratio_of_order} on the same engine from
+    another domain (the same single-owner rule the engine itself has).
+    Interleaved {e sequential} full evaluations are safe: the session owns
+    its geometry and ledger. *)
 module Delta : sig
   type session
 

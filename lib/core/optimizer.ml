@@ -71,16 +71,20 @@ let trg_order ?decisions ~config ~block_bytes trace =
   in
   (Trg_reduce.reduce ?decisions trg ~slots).order
 
+(* The function order behind [Func_affinity] / [Func_trg]. *)
+let function_order ?decisions ~config kind program analysis =
+  let hot =
+    match kind with
+    | Func_affinity -> affinity_order ?decisions ~config analysis.fn
+    | _ -> trg_order ?decisions ~config ~block_bytes:config.func_block_bytes analysis.fn
+  in
+  Layout.function_order_of_hot_list program ~hot
+
 let block_order_for ?decisions ?(config = default_config) kind program analysis =
   match kind with
   | Original -> (Layout.original program).order
-  | Func_affinity ->
-    let hot = affinity_order ?decisions ~config analysis.fn in
-    let forder = Layout.function_order_of_hot_list program ~hot in
-    (Layout.of_function_order program forder).order
-  | Func_trg ->
-    let hot = trg_order ?decisions ~config ~block_bytes:config.func_block_bytes analysis.fn in
-    let forder = Layout.function_order_of_hot_list program ~hot in
+  | Func_affinity | Func_trg ->
+    let forder = function_order ?decisions ~config kind program analysis in
     (Layout.of_function_order program forder).order
   | Bb_affinity ->
     let hot = affinity_order ?decisions ~config analysis.bb in
@@ -93,12 +97,7 @@ let layout_for ?decisions ?(config = default_config) kind program analysis =
   match kind with
   | Original -> Layout.original program
   | Func_affinity | Func_trg ->
-    let hot =
-      match kind with
-      | Func_affinity -> affinity_order ?decisions ~config analysis.fn
-      | _ -> trg_order ?decisions ~config ~block_bytes:config.func_block_bytes analysis.fn
-    in
-    Layout.of_function_order program (Layout.function_order_of_hot_list program ~hot)
+    Layout.of_function_order program (function_order ?decisions ~config kind program analysis)
   | Bb_affinity | Bb_trg ->
     let order = block_order_for ?decisions ~config kind program analysis in
     Layout.of_block_order ~function_stubs:true program order

@@ -44,8 +44,6 @@ type thread = {
   mutable done_ : bool;
   mutable finish_cycle : int;
   mutable instrs : int;
-  mutable accesses : int;
-  mutable misses : int;
   mutable blocks : int;
 }
 
@@ -64,17 +62,15 @@ let make_thread ?(work_scale = 1.0) code trace ~tid ~line_offset ~restart =
     done_ = Int_vec.length trace = 0;
     finish_cycle = 0;
     instrs = 0;
-    accesses = 0;
-    misses = 0;
     blocks = 0;
   }
 
-(* Fetch the next block of [th] through the shared cache: counts accesses
-   and misses, charges the stall, and loads the block's work. Returns false
-   when the trace is exhausted and the thread does not restart. The
-   profiled dispatch mirrors Icache/Hierarchy: with a sink the access goes
-   through the attributing twin, without one the bare hot path runs. *)
-let advance_block cfg cache sink th ~cycle =
+(* Fetch the next block of [th] through the shared cache: each line is one
+   {!Icache.access} (counted in [stats] under the thread's id, attributed
+   to [sink], prefetching per [cfg]); a miss charges the stall. Loads the
+   block's work. Returns false when the trace is exhausted and the thread
+   does not restart. *)
+let advance_block cfg cache stats sink th ~cycle =
   if th.pos >= Int_vec.length th.trace then begin
     if th.restart then th.pos <- 0
     else begin
@@ -89,26 +85,11 @@ let advance_block cfg cache sink th ~cycle =
     th.blocks <- th.blocks + 1;
     let first, last = Icache.lines_of_block ~params:cfg.cache ~layout:th.code.layout bid in
     for line = first to last do
-      let l = line + th.line_offset in
-      th.accesses <- th.accesses + 1;
-      let hit =
-        match sink with
-        | None -> Set_assoc.access_line cache l
-        | Some s -> Set_assoc.access_line_profiled cache s ~thread:th.tid ~block:bid l
-      in
-      if hit then ()
-      else begin
-        th.misses <- th.misses + 1;
-        th.stall <- th.stall + cfg.miss_penalty;
-        Option.iter
-          (fun p ->
-            (* Prefetch fills are not demand accesses; stats tracked by the
-               cache-level simulators, not needed here. *)
-            for n = l + 1 to l + Prefetch.degree p do
-              if not (Set_assoc.probe_line cache n) then Set_assoc.fill_line cache n
-            done)
-          cfg.prefetch
-      end
+      if
+        not
+          (Icache.access ?prefetch:cfg.prefetch ?sink cache stats ~thread:th.tid ~block:bid
+             (line + th.line_offset))
+      then th.stall <- th.stall + cfg.miss_penalty
     done;
     th.work <- th.work +. (float_of_int th.code.instr_counts.(bid) *. th.work_scale);
     th.instrs <- th.instrs + th.code.instr_counts.(bid);
@@ -117,9 +98,12 @@ let advance_block cfg cache sink th ~cycle =
 
 let run_threads cfg sink threads ~stop =
   let cache = Set_assoc.create cfg.cache in
+  let stats = Cache_stats.create ~threads:(Array.length threads) () in
   let cycle = ref 0 in
   (* Prime each thread with its first block. *)
-  Array.iter (fun th -> if not th.done_ then ignore (advance_block cfg cache sink th ~cycle:0)) threads;
+  Array.iter
+    (fun th -> if not th.done_ then ignore (advance_block cfg cache stats sink th ~cycle:0))
+    threads;
   let guard = ref 0 in
   while (not (stop threads)) && !guard < 4_000_000_000 do
     incr guard;
@@ -141,28 +125,27 @@ let run_threads cfg sink threads ~stop =
                keep fetching until work is pending or a miss stalls it. *)
             let continue = ref (th.work <= 0.0) in
             while !continue do
-              if not (advance_block cfg cache sink th ~cycle:!cycle) then continue := false
+              if not (advance_block cfg cache stats sink th ~cycle:!cycle) then continue := false
               else if th.stall > 0 || th.work > 0.0 then continue := false
             done
           end
         end)
       threads
   done;
-  !cycle
+  (!cycle, stats)
 
-let stats_of th ~total_cycles =
+let stats_of th (total_cycles, stats) =
   {
     instrs = th.instrs;
     cycles = (if th.done_ then th.finish_cycle else total_cycles);
-    fetch_accesses = th.accesses;
-    fetch_misses = th.misses;
+    fetch_accesses = Cache_stats.thread_accesses stats th.tid;
+    fetch_misses = Cache_stats.thread_misses stats th.tid;
     blocks = th.blocks;
   }
 
 let solo ?work_scale ?sink cfg code trace =
   let th = make_thread ?work_scale code trace ~tid:0 ~line_offset:0 ~restart:false in
-  let total = run_threads cfg sink [| th |] ~stop:(fun ths -> ths.(0).done_) in
-  stats_of th ~total_cycles:total
+  stats_of th (run_threads cfg sink [| th |] ~stop:(fun ths -> ths.(0).done_))
 
 type corun_mode = Finish_both | Measure_first
 
@@ -183,5 +166,5 @@ let corun ?(work_scales = (1.0, 1.0)) ?sink cfg ~mode (code0, trace0) (code1, tr
     | Finish_both -> fun (ths : thread array) -> ths.(0).done_ && ths.(1).done_
     | Measure_first -> fun ths -> ths.(0).done_
   in
-  let total = run_threads cfg sink [| th0; th1 |] ~stop in
-  { t0 = stats_of th0 ~total_cycles:total; t1 = stats_of th1 ~total_cycles:total; total_cycles = total }
+  let run = run_threads cfg sink [| th0; th1 |] ~stop in
+  { t0 = stats_of th0 run; t1 = stats_of th1 run; total_cycles = fst run }

@@ -63,7 +63,7 @@ val solo :
     whose unmodelled D-cache stalls slow both its execution and its
     instruction fetching. [sink] attributes every demand fetch (thread 0,
     block id, line) without perturbing the simulation; prefetch fills
-    bypass it. *)
+    reach it as evictions only ({!Colayout_cache.Profile_sink.record_fill}). *)
 
 type corun_mode =
   | Finish_both

@@ -59,10 +59,9 @@ let classify_params = Params.make ~size_bytes:256 ~assoc:2 ~line_bytes:64
 
 let run_classified lines =
   let c = Set_assoc.create classify_params in
+  let stats = Cache_stats.create () in
   let sink = Profile_sink.create ~params:classify_params () in
-  List.iter
-    (fun line -> ignore (Set_assoc.access_line_profiled c sink ~thread:0 ~block:line line))
-    lines;
+  List.iter (fun line -> ignore (Icache.access ~sink c stats ~thread:0 ~block:line line)) lines;
   sink
 
 let test_classify_cold () =
@@ -150,16 +149,83 @@ let test_set_mapping_isolation () =
   check Alcotest.bool "conflict same set" false (Set_assoc.probe_line c 0);
   check Alcotest.bool "line 1 untouched" true (Set_assoc.probe_line c 1)
 
+(* Random power-of-two geometries (assoc 1-8, 1-64 sets) driven by mixed
+   access / fill / probe / invalidate streams, against a reference of one
+   fully-associative LRU of capacity [assoc] per set. Every step must
+   agree on the hit, the evicted victim and the eviction count, and the
+   resident lines must match throughout. *)
+type sa_op = Access of int | Fill of int | Probe of int | Invalidate
+
+let sa_case =
+  let open QCheck.Gen in
+  let gen =
+    int_range 0 3 >>= fun a ->
+    int_range 0 6 >>= fun s ->
+    let assoc = 1 lsl a and sets = 1 lsl s in
+    let line = int_bound ((3 * assoc * sets) - 1) in
+    list_size (int_bound 120)
+      (frequency
+         [
+           (6, map (fun l -> Access l) line);
+           (2, map (fun l -> Fill l) line);
+           (2, map (fun l -> Probe l) line);
+           (1, return Invalidate);
+         ])
+    >|= fun ops -> (assoc, sets, ops)
+  in
+  let print (assoc, sets, ops) =
+    Printf.sprintf "assoc=%d sets=%d [%s]" assoc sets
+      (String.concat "; "
+         (List.map
+            (function
+              | Access l -> Printf.sprintf "A%d" l
+              | Fill l -> Printf.sprintf "F%d" l
+              | Probe l -> Printf.sprintf "P%d" l
+              | Invalidate -> "I")
+            ops))
+  in
+  QCheck.make ~print gen
+
 let set_assoc_matches_fully_assoc =
-  QCheck.Test.make
-    ~name:"single-set set-assoc equals fully-associative LRU" ~count:100
-    QCheck.(list (int_bound 10))
-    (fun xs ->
-      let p = Params.make ~size_bytes:(4 * 64) ~assoc:4 ~line_bytes:64 in
-      (* All lines map to set 0 when we multiply by num_sets (=1 here). *)
+  QCheck.Test.make ~name:"set-assoc equals per-set fully-associative LRU" ~count:300 sa_case
+    (fun (assoc, sets, ops) ->
+      let p = Params.make ~size_bytes:(assoc * sets * 64) ~assoc ~line_bytes:64 in
       let sa = Set_assoc.create p in
-      let fa = Fully_assoc.create ~capacity:4 in
-      List.for_all (fun x -> Set_assoc.access_line sa x = Fully_assoc.access_line fa x) xs)
+      let fresh () = Array.init sets (fun _ -> Fully_assoc.create ~capacity:assoc) in
+      let model = ref (fresh ()) and dropped = ref 0 in
+      let model_evictions () =
+        Array.fold_left (fun n fa -> n + Fully_assoc.evictions fa) !dropped !model
+      in
+      (* The model's verdict for an insertion: hit, cold fill, or victim. *)
+      let model_access l =
+        let fa = !model.(Params.set_of_line p l) in
+        let before = Fully_assoc.resident_lines fa in
+        if Fully_assoc.access_line fa l then Set_assoc.hit
+        else
+          match List.filter (fun v -> not (Fully_assoc.probe_line fa v)) before with
+          | [ v ] -> v
+          | _ -> Set_assoc.cold
+      in
+      List.for_all
+        (fun op ->
+          let agree =
+            match op with
+            | Access l -> Set_assoc.access sa l = model_access l
+            | Fill l -> Set_assoc.fill_line sa l = model_access l
+            | Probe l ->
+              Set_assoc.probe_line sa l = Fully_assoc.probe_line !model.(Params.set_of_line p l) l
+            | Invalidate ->
+              Set_assoc.invalidate_all sa;
+              dropped := model_evictions ();
+              model := fresh ();
+              true
+          in
+          agree
+          && Set_assoc.evictions sa = model_evictions ()
+          && Set_assoc.resident_lines sa
+             = List.sort compare
+                 (List.concat_map Fully_assoc.resident_lines (Array.to_list !model)))
+        ops)
 
 let test_fully_assoc_eviction () =
   let c = Fully_assoc.create ~capacity:2 in
@@ -179,13 +245,16 @@ let test_prefetch () =
   let s = Cache_stats.create () in
   let pf = Prefetch.create ~degree:2 () in
   check Alcotest.int "degree" 2 (Prefetch.degree pf);
-  Prefetch.on_miss pf c s 10;
+  check Alcotest.bool "demand miss" false (Icache.access ~prefetch:pf c s ~thread:0 ~block:0 10);
   check Alcotest.int "prefetched" 2 (Cache_stats.prefetches s);
+  check Alcotest.int "one demand access" 1 (Cache_stats.accesses s);
   check Alcotest.bool "line 11 filled" true (Set_assoc.probe_line c 11);
   check Alcotest.bool "line 12 filled" true (Set_assoc.probe_line c 12);
-  check Alcotest.bool "line 10 NOT filled by prefetch" false (Set_assoc.probe_line c 10);
-  (* Prefetching an already-resident line is not recounted. *)
-  Prefetch.on_miss pf c s 10;
+  check Alcotest.bool "line 13 NOT filled" false (Set_assoc.probe_line c 13);
+  (* Hits prefetch nothing; a miss whose next lines are resident refills none. *)
+  check Alcotest.bool "prefetched line hits" true
+    (Icache.access ~prefetch:pf c s ~thread:0 ~block:0 11);
+  check Alcotest.bool "line 9 misses" false (Icache.access ~prefetch:pf c s ~thread:0 ~block:0 9);
   check Alcotest.int "no double prefetch" 2 (Cache_stats.prefetches s)
 
 let layout_of_blocks specs : Icache.layout =

@@ -180,10 +180,10 @@ let test_affinity_decisions () =
 let interference_toy () =
   let p = Params.make ~size_bytes:128 ~assoc:1 ~line_bytes:64 in
   let c = Set_assoc.create p in
+  let stats = Cache_stats.create ~threads:2 () in
   let sink = Profile_sink.create ~threads:2 ~params:p () in
   List.iter
-    (fun (th, l) ->
-      ignore (Set_assoc.access_line_profiled c sink ~thread:th ~block:l l))
+    (fun (th, l) -> ignore (Icache.access ~sink c stats ~thread:th ~block:l l))
     [ (0, 0); (1, 2); (0, 0); (1, 2); (0, 1); (0, 3); (0, 1) ];
   sink
 
@@ -246,6 +246,28 @@ let test_interference_conservation () =
   let json = Profile.interference_json ~label:"t" ~sink ~stats in
   ignore (U.Json.parse (U.Json.to_string json))
 
+let test_interference_conservation_hw () =
+  (* Hardware-like mode: next-line prefetch fills evict lines too. Each
+     fill's victim reaches the sink as an eviction by the prefetching
+     thread, so the matrices still partition the simulator's totals, and
+     the sink still leaves the simulation untouched. *)
+  let ctx = H.Ctx.create ~scale:H.Ctx.Fast () in
+  let self = (prog, Core.Optimizer.Original) and peer = ("403.gcc", Core.Optimizer.Original) in
+  let stats, sink = H.Ctx.profiled_corun ctx ~hw:true ~self ~peer in
+  check Alcotest.bool "prefetches issued" true (Cache_stats.prefetches stats > 0);
+  ignore (Profile.interference_json ~label:"hw" ~sink ~stats);
+  check Alcotest.int "sink evictions" (Cache_stats.evictions stats) (Profile_sink.evictions sink);
+  let bare = H.Ctx.corun_stats ctx ~hw:true ~self ~peer in
+  let key s =
+    Cache_stats.
+      ( accesses s,
+        misses s,
+        evictions s,
+        prefetches s,
+        (thread_accesses s 0, thread_misses s 0, thread_accesses s 1, thread_misses s 1) )
+  in
+  check Alcotest.bool "stats equal the sink-free run" true (key bare = key stats)
+
 let test_interference_json_mismatch () =
   let sink = interference_toy () in
   match Profile.interference_json ~label:"bad" ~sink ~stats:(Cache_stats.create ~threads:2 ()) with
@@ -289,9 +311,10 @@ let stats_matching sink =
 let toy_sink () =
   let p = Params.make ~size_bytes:256 ~assoc:2 ~line_bytes:64 in
   let c = Set_assoc.create p in
+  let stats = Cache_stats.create () in
   let sink = Profile_sink.create ~params:p () in
   List.iter
-    (fun l -> ignore (Set_assoc.access_line_profiled c sink ~thread:0 ~block:l l))
+    (fun l -> ignore (Icache.access ~sink c stats ~thread:0 ~block:l l))
     [ 0; 2; 4; 0; 1; 1 ];
   (p, sink)
 
@@ -343,6 +366,7 @@ let () =
         [
           Alcotest.test_case "toy matrices" `Quick test_interference_toy;
           Alcotest.test_case "corun conservation" `Quick test_interference_conservation;
+          Alcotest.test_case "hw corun conservation" `Quick test_interference_conservation_hw;
           Alcotest.test_case "mismatch rejected" `Quick test_interference_json_mismatch;
           Alcotest.test_case "sink transparent" `Quick test_sink_transparent;
         ] );
