@@ -1,19 +1,9 @@
-(* Observability smoke validator, four modes:
-
-   [check_obs bench BENCH_obs.json] — the interference-observatory
-   manifest conforms to colayout/bench-obs/v1: every co-run cell carries
-   baseline and optimized interference sections whose matrices conserve
-   (eviction matrix sums to the eviction total; per thread, first-touch
-   misses plus the miss-provenance row reproduce the miss total; the
-   derived suffered/inflicted counts and defensiveness/politeness scores
-   are consistent with the matrices), the transparency and jobs-invariance
-   bits are set, and the headline gate holds — at least two cells where
-   the optimized layout strictly improves BOTH scores.
+(* Observability smoke validator, three modes:
 
    [check_obs stream FILE.jsonl] — a colayout/obs/v1 snapshot stream (from
    `repro serve --obs` or the obs bench): every line parses, sequence
    numbers are dense, timestamps are monotonic, and every embedded
-   interference section passes the same conservation checks.
+   interference section conserves ([Gates.check_stream]).
 
    [check_obs serve METRICS.json SERVE.json] — flush-on-exit coverage for
    `repro serve --metrics`: when the run ends mid-epoch the final snapshot
@@ -31,230 +21,10 @@
 module J = Colayout_util.Json
 open Smoke_check
 
-let get_float json ~path key =
-  match Option.bind (J.member key json) J.to_float with
-  | Some v -> v
-  | None -> fail "%s: missing number field %S" path key
-
-let int_array json ~path ~label key =
-  match Option.bind (J.member key json) J.to_list with
-  | Some l ->
-    Array.of_list
-      (List.map
-         (fun v ->
-           match J.to_int v with
-           | Some n -> n
-           | None -> fail "%s: %s.%s holds a non-integer" path label key)
-         l)
-  | None -> fail "%s: %s missing array %S" path label key
-
-let float_array json ~path ~label key =
-  match Option.bind (J.member key json) J.to_list with
-  | Some l ->
-    Array.of_list
-      (List.map
-         (fun v ->
-           match J.to_float v with
-           | Some f -> f
-           | None -> fail "%s: %s.%s holds a non-number" path label key)
-         l)
-  | None -> fail "%s: %s missing array %S" path label key
-
-let int_matrix json ~path ~label key =
-  match Option.bind (J.member key json) J.to_list with
-  | Some rows ->
-    Array.of_list
-      (List.map
-         (fun row ->
-           match J.to_list row with
-           | Some cells ->
-             Array.of_list
-               (List.map
-                  (fun v ->
-                    match J.to_int v with
-                    | Some n -> n
-                    | None -> fail "%s: %s.%s holds a non-integer" path label key)
-                  cells)
-           | None -> fail "%s: %s.%s holds a non-array row" path label key)
-         rows)
-  | None -> fail "%s: %s missing matrix %S" path label key
-
-(* The conservation laws of one interference section — the same checks
-   Profile.interference_json enforces at production time, re-verified
-   from the serialized artifact alone. *)
-let check_interference json ~path ~label =
-  let threads = get_int json "threads" in
-  if threads < 2 then fail "%s: %s has %d threads (co-run needs >= 2)" path label threads;
-  let accesses = int_array json ~path ~label "accesses"
-  and misses = int_array json ~path ~label "misses"
-  and first = int_array json ~path ~label "first_misses"
-  and suffered = int_array json ~path ~label "suffered"
-  and inflicted = int_array json ~path ~label "inflicted"
-  and def = float_array json ~path ~label "defensiveness"
-  and pol = float_array json ~path ~label "politeness"
-  and ev = int_matrix json ~path ~label "ev_matrix"
-  and ms = int_matrix json ~path ~label "miss_matrix" in
-  let evictions = get_int json "evictions" in
-  List.iter
-    (fun (key, arr) ->
-      if Array.length arr <> threads then
-        fail "%s: %s.%s has %d entries for %d threads" path label key (Array.length arr)
-          threads)
-    [
-      ("accesses", accesses); ("misses", misses); ("first_misses", first);
-      ("suffered", suffered); ("inflicted", inflicted);
-    ];
-  Array.iteri
-    (fun i m ->
-      if Array.length m <> threads || Array.exists (fun r -> Array.length r <> threads) m
-      then
-        fail "%s: %s %s is not %dx%d" path label
-          (if i = 0 then "ev_matrix" else "miss_matrix")
-          threads threads)
-    [| ev; ms |];
-  let sum2 m = Array.fold_left (fun a row -> Array.fold_left ( + ) a row) 0 m in
-  if sum2 ev <> evictions then
-    fail "%s: %s eviction matrix sums to %d, total says %d" path label (sum2 ev) evictions;
-  for t = 0 to threads - 1 do
-    let row = Array.fold_left ( + ) first.(t) ms.(t) in
-    if row <> misses.(t) then
-      fail "%s: %s thread %d first+row sums to %d, misses say %d" path label t row
-        misses.(t);
-    let suff = ref 0 and infl = ref 0 in
-    for o = 0 to threads - 1 do
-      if o <> t then begin
-        suff := !suff + ms.(t).(o);
-        infl := !infl + ms.(o).(t)
-      end
-    done;
-    if !suff <> suffered.(t) then
-      fail "%s: %s thread %d suffered %d but matrix says %d" path label t suffered.(t)
-        !suff;
-    if !infl <> inflicted.(t) then
-      fail "%s: %s thread %d inflicted %d but matrix says %d" path label t inflicted.(t)
-        !infl;
-    List.iter
-      (fun (key, v) ->
-        if not (v >= 0.0 && v <= 1.0) then
-          fail "%s: %s thread %d %s %.4f outside [0,1]" path label t key v)
-      [ ("defensiveness", def.(t)); ("politeness", pol.(t)) ];
-    if accesses.(t) > 0 then begin
-      let want = 1.0 -. (float_of_int !suff /. float_of_int accesses.(t)) in
-      if Float.abs (def.(t) -. want) > 1e-9 then
-        fail "%s: %s thread %d defensiveness %.6f != 1 - suffered/accesses = %.6f" path
-          label t def.(t) want
-    end
-  done
-
-let side cell ~path ~label name =
-  match J.member name cell with
-  | Some (J.Obj _ as s) ->
-    let il = label ^ "." ^ name in
-    check_interference
-      (match J.member "interference" s with
-      | Some i -> i
-      | None -> fail "%s: %s has no interference section" path il)
-      ~path ~label:il;
-    (get_float s ~path "defensiveness", get_float s ~path "politeness")
-  | _ -> fail "%s: %s has no %s section" path label name
-
-let check_bench path =
-  let json = parse path in
-  require_schema json ~path "colayout/bench-obs/v1";
-  let cells = get_list json ~path "cells" in
-  if List.length cells < 2 then
-    fail "%s: only %d co-run cells (need >= 2)" path (List.length cells);
-  let improved =
-    List.filter
-      (fun cell ->
-        let label =
-          Printf.sprintf "cell %s|%s" (get_str cell ~path "self") (get_str cell ~path "peer")
-        in
-        let bdef, bpol = side cell ~path ~label "baseline" in
-        let odef, opol = side cell ~path ~label "optimized" in
-        let improved = odef > bdef && opol > bpol in
-        if improved <> get_bool cell ~path "improved_both" then
-          fail "%s: %s improved_both flag disagrees with the scores" path label;
-        improved)
-      cells
-  in
-  if List.length improved <> get_int json "cells_improved_both" then
-    fail "%s: cells_improved_both says %d, recount finds %d" path
-      (get_int json "cells_improved_both") (List.length improved);
-  if List.length improved < 2 then
-    fail "%s: optimized layout beat baseline on both scores in only %d/%d cells (need >= 2)"
-      path (List.length improved) (List.length cells);
-  List.iter
-    (fun key ->
-      if not (get_bool json ~path key) then fail "%s: %s is not true" path key)
-    [ "sink_transparent"; "jobs_invariant" ];
-  if get_int json "obs_recorded" <> List.length cells then
-    fail "%s: obs_recorded %d != %d cells" path (get_int json "obs_recorded")
-      (List.length cells);
-  let runtime = J.Obj (get_obj json ~path "runtime") in
-  if get_int runtime "wall_ns" <= 0 then fail "%s: runtime.wall_ns is not positive" path;
-  ignore (get_int runtime "cores_available");
-  Printf.printf "check_obs: %s ok (%d cells, %d improved both scores, conservation held)\n"
-    path (List.length cells) (List.length improved)
-
 let check_stream path =
-  let lines =
-    String.split_on_char '\n' (read_file path) |> List.filter (fun l -> l <> "")
-  in
-  if lines = [] then fail "%s: empty snapshot stream" path;
-  let first_seq = ref None and last_ts = ref Int64.min_int and checked = ref 0 in
-  List.iteri
-    (fun i line ->
-      let json =
-        match J.parse line with
-        | v -> v
-        | exception J.Parse_error (pos, msg) ->
-          fail "%s: line %d does not parse: %s at byte %d" path (i + 1) msg pos
-      in
-      require_schema json ~path:(Printf.sprintf "%s:%d" path (i + 1)) "colayout/obs/v1";
-      let label = Printf.sprintf "line %d" (i + 1) in
-      let seq = get_int json "seq" in
-      (match !first_seq with
-      | None -> first_seq := Some (seq - i)
-      | Some base ->
-        if seq <> base + i then
-          fail "%s: %s seq %d breaks density (expected %d)" path label seq (base + i));
-      let ts =
-        match Option.bind (J.member "ts_ns" json) J.to_int with
-        | Some t -> Int64.of_int t
-        | None -> fail "%s: %s has no ts_ns" path label
-      in
-      if ts < !last_ts then fail "%s: %s timestamp went backwards" path label;
-      last_ts := ts;
-      if get_str json ~path "label" = "" then fail "%s: %s has an empty label" path label;
-      (* Conservation on every embedded interference section, whichever
-         producer wrote the stream (serve epochs or bench cells). *)
-      (match J.member "interference" json with
-      | Some i ->
-        check_interference i ~path ~label;
-        incr checked
-      | None -> ());
-      List.iter
-        (fun name ->
-          match J.member name json with
-          | Some s ->
-            (* The member is either the interference section itself (the
-               obs bench's cell snapshots) or a wrapper carrying one. *)
-            let i =
-              if J.member "ev_matrix" s <> None then Some s
-              else J.member "interference" s
-            in
-            Option.iter
-              (fun i ->
-                check_interference i ~path ~label:(label ^ "." ^ name);
-                incr checked)
-              i
-          | None -> ())
-        [ "baseline"; "optimized" ])
-    lines;
-  if !checked = 0 then fail "%s: stream carried no interference sections" path;
-  Printf.printf "check_obs: %s ok (%d snapshots, %d interference sections conserve)\n" path
-    (List.length lines) !checked
+  match Gates.check_stream (read_file path) with
+  | Ok summary -> Printf.printf "check_obs: %s ok (%s)\n" path summary
+  | Error e -> fail "%s: %s" path e
 
 (* Flush-on-exit: `repro serve --users 5 --epoch 2` ends mid-epoch, and the
    --metrics snapshot plus the summary's epoch table must both reflect the
@@ -359,15 +129,14 @@ let check_trace path ~experiments =
 let () =
   set_tool "check_obs";
   match Array.to_list Sys.argv with
-  | [ _; "bench"; path ] -> check_bench path
   | [ _; "stream"; path ] -> check_stream path
   | [ _; "serve"; metrics; serve ] -> check_serve metrics serve
   | _ :: metrics :: trace :: experiments
-    when metrics <> "bench" && metrics <> "stream" && metrics <> "serve" ->
+    when metrics <> "stream" && metrics <> "serve" ->
     check_metrics metrics;
     check_trace trace ~experiments
   | _ ->
     prerr_endline
-      "usage: check_obs bench FILE | check_obs stream FILE.jsonl | check_obs serve \
-       METRICS.json SERVE.json | check_obs METRICS.json TRACE.json [EXPERIMENT_ID...]";
+      "usage: check_obs stream FILE.jsonl | check_obs serve METRICS.json SERVE.json | \
+       check_obs METRICS.json TRACE.json [EXPERIMENT_ID...]";
     exit 2

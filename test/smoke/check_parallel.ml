@@ -1,68 +1,10 @@
-(* Parallel-harness smoke validator, two modes:
-
-   [check_parallel bench BENCH_parallel.json] — the bench's
-   parallel-scaling manifest conforms to colayout/bench-parallel/v1:
-   wall-clocked runs for jobs 1, 2 and 4, positive durations, one digest
-   shared by every run (the determinism contract), and a speedup entry
-   per multi-job run. Speedup magnitude is gated on the recorded
-   cores_available: on a multicore host the best multi-job run must not be
-   slower than sequential; on a single-core host (CI containers) domains
-   only add scheduling overhead, so speedups merely have to be positive.
+(* Parallel-harness smoke validator:
 
    [check_parallel csv-equal DIR1 DIR2] — two `repro run --csv` output
    directories (a jobs=1 and a jobs=N run of the same experiments) hold
    byte-identical files. *)
 
-module J = Colayout_util.Json
 open Smoke_check
-
-let check_bench path =
-  let json = parse path in
-  require_schema json ~path "colayout/bench-parallel/v1";
-  if not (get_bool json ~path "identical_tables") then
-    fail "%s: identical_tables is not true — jobs counts disagreed" path;
-  let runs =
-    match get_list json ~path "runs" with
-    | [] -> fail "%s: no runs" path
-    | runs -> runs
-  in
-  let seen =
-    List.map
-      (fun run ->
-        let jobs = get_int run "jobs" in
-        (match Option.bind (J.member "wall_ns" run) J.to_int with
-        | Some ns when ns > 0 -> ()
-        | _ -> fail "%s: run jobs=%d has a non-positive wall_ns" path jobs);
-        (match Option.bind (J.member "digest" run) J.to_str with
-        | Some d when String.length d > 0 -> ()
-        | _ -> fail "%s: run jobs=%d has no digest" path jobs);
-        jobs)
-      runs
-  in
-  List.iter
-    (fun jobs ->
-      if not (List.mem jobs seen) then fail "%s: no run for jobs=%d" path jobs)
-    [ 1; 2; 4 ];
-  let speedup = get_obj json ~path "speedup" in
-  let speedups =
-    List.map
-      (fun jobs ->
-        let key = Printf.sprintf "jobs%d" jobs in
-        match List.assoc_opt key speedup with
-        | Some v ->
-          (match J.to_float v with
-          | Some s when s > 0.0 -> s
-          | _ -> fail "%s: speedup.%s is not a positive number" path key)
-        | None -> fail "%s: speedup.%s missing" path key)
-      [ 2; 4 ]
-  in
-  (* The expectation scales with the recorded host width, not the CI host's
-     luck: with >= 2 cores the pool must at least break even somewhere;
-     with 1 core there is nothing to win and positivity is all we ask. *)
-  let best = List.fold_left max 0.0 speedups in
-  let cores = cores_gate json ~path ~what:"best speedup" ~floor:1.0 best in
-  Printf.printf "check_parallel: %s ok (%d runs, %d cores, best speedup %.2fx)\n" path
-    (List.length runs) cores best
 
 let check_csv_equal dir1 dir2 =
   let listing dir =
@@ -88,8 +30,7 @@ let check_csv_equal dir1 dir2 =
 let () =
   set_tool "check_parallel";
   match Array.to_list Sys.argv with
-  | [ _; "bench"; path ] -> check_bench path
   | [ _; "csv-equal"; dir1; dir2 ] -> check_csv_equal dir1 dir2
   | _ ->
-    prerr_endline "usage: check_parallel bench FILE | check_parallel csv-equal DIR1 DIR2";
+    prerr_endline "usage: check_parallel csv-equal DIR1 DIR2";
     exit 2

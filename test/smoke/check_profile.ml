@@ -1,11 +1,4 @@
-(* Cache-profile smoke validator, two modes:
-
-   [check_profile bench BENCH_profile.json] — the bench's profile manifest
-   conforms to colayout/bench-profile/v1: per workload, a baseline and an
-   optimized classification whose cold + capacity + conflict splits sum
-   exactly to their miss totals, a conflict_drop consistent with the two,
-   and at least one workload with a strict conflict-miss reduction — the
-   paper's core claim, checked on every CI run.
+(* Cache-profile smoke validator:
 
    [check_profile artifact PROFILE.json [DECISIONS.jsonl]] — a
    `repro profile` artifact conforms to colayout/profile/v1: every layout's
@@ -19,46 +12,9 @@ module J = Colayout_util.Json
 open Smoke_check
 
 let check_classification ~path ~label totals =
-  let miss = get_int totals "misses" in
-  let cold = get_int totals "cold" in
-  let cap = get_int totals "capacity" in
-  let conf = get_int totals "conflict" in
-  if cold < 0 || cap < 0 || conf < 0 then
-    fail "%s: %s has a negative classification count" path label;
-  if cold + cap + conf <> miss then
-    fail "%s: %s classification %d + %d + %d does not sum to %d misses" path label cold cap
-      conf miss;
-  if get_int totals "accesses" < miss then fail "%s: %s has more misses than accesses" path label
-
-let check_bench path =
-  let json = parse path in
-  require_schema json ~path "colayout/bench-profile/v1";
-  let workloads =
-    match get_list json ~path "workloads" with
-    | [] -> fail "%s: no workloads" path
-    | ws -> ws
-  in
-  let drops =
-    List.map
-      (fun w ->
-        let prog = get_str w ~path "program" in
-        let base = J.Obj (get_obj w ~path "baseline") in
-        let opt = J.Obj (get_obj w ~path "optimized") in
-        check_classification ~path ~label:(prog ^ " baseline") base;
-        check_classification ~path ~label:(prog ^ " optimized") opt;
-        let drop = get_int w "conflict_drop" in
-        if drop <> get_int base "conflict" - get_int opt "conflict" then
-          fail "%s: %s conflict_drop is inconsistent with the classifications" path prog;
-        drop)
-      workloads
-  in
-  if not (get_bool json ~path "any_conflict_drop") then
-    fail "%s: any_conflict_drop is not true" path;
-  if not (List.exists (fun d -> d > 0) drops) then
-    fail "%s: no workload shows a conflict-miss reduction" path;
-  Printf.printf "check_profile: %s ok (%d workloads, best conflict drop %d)\n" path
-    (List.length workloads)
-    (List.fold_left max 0 drops)
+  match Gates.classification ~label totals with
+  | Ok () -> ()
+  | Error e -> fail "%s: %s" path e
 
 let check_layout ~path layout =
   let label = get_str layout ~path "label" in
@@ -127,10 +83,9 @@ let check_artifact path decisions_path =
 let () =
   set_tool "check_profile";
   match Array.to_list Sys.argv with
-  | [ _; "bench"; path ] -> check_bench path
   | [ _; "artifact"; path ] -> check_artifact path None
   | [ _; "artifact"; path; decisions ] -> check_artifact path (Some decisions)
   | _ ->
     prerr_endline
-      "usage: check_profile bench FILE | check_profile artifact PROFILE.json [DECISIONS.jsonl]";
+      "usage: check_profile artifact PROFILE.json [DECISIONS.jsonl]";
     exit 2

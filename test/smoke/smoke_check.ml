@@ -1,5 +1,5 @@
-(* Shared validation vocabulary for the smoke checkers (check_obs,
-   check_parallel, check_profile): fail-with-prefix, file reading, JSON
+(* Shared validation vocabulary for the smoke checkers (check_manifest,
+   check_obs, check_parallel, check_profile): fail-with-prefix, file reading, JSON
    parsing and schema/field accessors that exit 1 with a pointed message
    instead of raising. Each checker names itself via [set_tool] first. *)
 
@@ -57,16 +57,3 @@ let get_bool json ~path key =
 
 let has_prefix s prefix =
   String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
-
-(* The shared magnitude-gating convention: every BENCH manifest records the
-   host width it was produced on as "cores_available", and speedup-like
-   assertions only bite on a host with >= 2 recorded cores (a one-core
-   container can't demonstrate parallel gain, only correctness). [enabled]
-   lets callers add further conditions (e.g. full mode only) without
-   duplicating the cores test; returns the recorded width for the
-   checker's summary line. *)
-let cores_gate json ~path ?(enabled = true) ~what ~floor value =
-  let cores = get_int json "cores_available" in
-  if cores >= 2 && enabled && value < floor then
-    fail "%s: %d cores available but %s is %.2fx (< %.2f)" path cores what value floor;
-  cores
