@@ -460,7 +460,13 @@ let serve_cmd =
           ~doc:"Max block-execution budget per user (each user draws from [fuel/2, fuel])")
   in
   let shards =
-    Arg.(value & opt int 2 & info [ "shards" ] ~docv:"S" ~doc:"Accumulator shards")
+    Arg.(
+      value
+      & opt int 2
+      & info [ "shards" ] ~docv:"S"
+          ~doc:
+            "Partitions of each walker's tables that --trg-cap and --wits-cap apply to; \
+             exact-config digests are byte-identical at any $(docv).")
   in
   let walkers =
     Arg.(
@@ -478,7 +484,7 @@ let serve_cmd =
       & opt int 1
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Worker domains for generation, walker dispatch and sharded flushes; 0 picks the \
+            "Worker domains for user generation and multi-walker dispatch; 0 picks the \
              machine width. Results are byte-identical at any $(docv).")
   in
   let window =
@@ -585,10 +591,20 @@ let serve_cmd =
         end)
       paths;
     let dirs, files = List.partition Sys.is_directory paths in
+    (* A bad trace file is the user's input, not an internal error: name
+       it, give the reader's reason and exit 1. *)
+    let bad_file path msg =
+      Printf.eprintf "repro serve: %s: %s\n" path msg;
+      exit 1
+    in
     let num_symbols =
       match files with
-      | f :: _ ->
-        Colayout_trace.Trace_io.with_reader ~path:f Colayout_trace.Trace_io.reader_num_symbols
+      | f :: _ -> (
+        match
+          Colayout_trace.Trace_io.with_reader ~path:f Colayout_trace.Trace_io.reader_num_symbols
+        with
+        | n -> n
+        | exception Failure msg -> bad_file f msg)
       | [] -> (
         (* Empty spool: wait (within the watch budget) for the first trace
            file to land so the symbol universe can size the config. *)
@@ -601,39 +617,48 @@ let serve_cmd =
           exit 1)
     in
     let metrics = U.Metrics.create () in
-    U.Pool.with_pool ~jobs ~metrics (fun pool ->
-        let cfg =
-          Core.Ingest.config ~num_symbols ~walkers ~shards ~trg_window:window ~affinity_w:w
-            ~trg_cap ~wits_cap ~decay_shift:decay ~epoch_traces:epoch ()
-        in
-        let ing = Core.Ingest.create ~pool ~metrics cfg in
-        List.iter (fun path -> Core.Ingest.feed_file ing ~path) files;
-        let report =
-          if dirs = [] then None
-          else
-            Some (H.Serve.watch_spool ~ing ~dirs ~poll_ms ~skip:files ~timeout_s:timeout ())
-        in
-        let c = Core.Ingest.finalize ing in
-        let td, ad = Core.Ingest.consensus_digests c in
-        let s = Core.Ingest.stats ing in
-        (match report with
-        | Some r ->
-          Printf.printf "spool: %d polls, %d files ingested, %d skipped, %d pending\n"
-            r.H.Serve.sp_polls r.H.Serve.sp_ingested r.H.Serve.sp_skipped
-            (List.length r.H.Serve.sp_pending)
-        | None -> ());
-        Printf.printf
-          "ingested %d traces (%d events, %d kept) across %d walkers\n\
-           trg: %d live edges  affinity: %d pairs\n\
-           digests: trg=%s affine=%s\n"
-          s.Core.Ingest.traces s.Core.Ingest.events s.Core.Ingest.kept_events walkers
-          s.Core.Ingest.trg_live
-          (Array.length c.Core.Ingest.affine)
-          td ad;
-        Option.iter
-          (fun path ->
-            write_file path (U.Json.to_string ~pretty:true (U.Metrics.to_json metrics)))
-          metrics_out)
+    let exception Bad_file of string * string in
+    match
+      U.Pool.with_pool ~jobs ~metrics (fun pool ->
+          let cfg =
+            Core.Ingest.config ~num_symbols ~walkers ~shards ~trg_window:window ~affinity_w:w
+              ~trg_cap ~wits_cap ~decay_shift:decay ~epoch_traces:epoch ()
+          in
+          let ing = Core.Ingest.create ~pool ~metrics cfg in
+          List.iter
+            (fun path ->
+              try Core.Ingest.feed_file ing ~path
+              with Failure msg | Invalid_argument msg -> raise (Bad_file (path, msg)))
+            files;
+          let report =
+            if dirs = [] then None
+            else
+              Some (H.Serve.watch_spool ~ing ~dirs ~poll_ms ~skip:files ~timeout_s:timeout ())
+          in
+          let c = Core.Ingest.finalize ing in
+          let td, ad = Core.Ingest.consensus_digests c in
+          let s = Core.Ingest.stats ing in
+          (match report with
+          | Some r ->
+            Printf.printf "spool: %d polls, %d files ingested, %d skipped, %d pending\n"
+              r.H.Serve.sp_polls r.H.Serve.sp_ingested r.H.Serve.sp_skipped
+              (List.length r.H.Serve.sp_pending)
+          | None -> ());
+          Printf.printf
+            "ingested %d traces (%d events, %d kept) across %d walkers\n\
+             trg: %d live edges  affinity: %d pairs\n\
+             digests: trg=%s affine=%s\n"
+            s.Core.Ingest.traces s.Core.Ingest.events s.Core.Ingest.kept_events walkers
+            s.Core.Ingest.trg_live
+            (Array.length c.Core.Ingest.affine)
+            td ad;
+          Option.iter
+            (fun path ->
+              write_file path (U.Json.to_string ~pretty:true (U.Metrics.to_json metrics)))
+            metrics_out)
+    with
+    | () -> ()
+    | exception Bad_file (path, msg) -> bad_file path msg
   in
   let run name users seed fuel walkers shards jobs window w epoch trg_cap wits_cap decay reopt
       verify out metrics_out obs_out from_paths timeout poll_ms verbosity =

@@ -34,6 +34,29 @@ let check_universe trace =
    one packed int payload, [(last_occ lsl 31) lor sat] — an absent entry
    reads as 0, i.e. [sat = 0, last_occ = 0], exactly the old record's
    initial state, so the table never allocates per witness. *)
+let[@inline] witness wits key a_occ =
+  let p = Int_pair_tbl.find wits key ~default:0 in
+  if Int_pair_tbl.fst_of p < a_occ then
+    Int_pair_tbl.replace wits key (Int_pair_tbl.pack a_occ (Int_pair_tbl.snd_of p + 1))
+
+(* Walk the stack top-down. A block [x] at 1-based depth [d] has
+   fp<last(x), here> = d + 1, or d if [y]'s previous occurrence lies above
+   [x] (then y is already among the d-1 more-recent blocks). *)
+let window_blocks stack ~w scratch y =
+  Int_vec.clear scratch;
+  let y_seen = ref false in
+  Lru_stack.iter_until_depth stack (fun d x ->
+      if x = y then begin
+        y_seen := true;
+        true
+      end
+      else begin
+        if d + (if !y_seen then 0 else 1) <= w then Int_vec.push scratch x;
+        d < w
+      end)
+
+let saturated ~occ a b ~sat_ab ~sat_ba =
+  sat_ab = occ.(a) && sat_ba = occ.(b) && occ.(a) > 0 && occ.(b) > 0
 
 let affine_pairs trace ~w =
   if w < 1 then invalid_arg "Affinity.affine_pairs: w must be >= 1";
@@ -42,36 +65,20 @@ let affine_pairs trace ~w =
   let occ = Trace.occurrences trace in
   let occ_idx = Array.make (Trace.num_symbols trace) 0 in
   let wits = Int_pair_tbl.create ~capacity:4096 () in
-  let witness a b a_occ =
-    let key = Int_pair_tbl.pack a b in
-    let p = Int_pair_tbl.find wits key ~default:0 in
-    if Int_pair_tbl.fst_of p < a_occ then
-      Int_pair_tbl.replace wits key (Int_pair_tbl.pack a_occ (Int_pair_tbl.snd_of p + 1))
-  in
   let stack = Lru_stack.create () in
+  let scratch = Int_vec.create ~capacity:(min w 4096) () in
   Trace.iter
     (fun y ->
       occ_idx.(y) <- occ_idx.(y) + 1;
       let ky = occ_idx.(y) in
-      (* Walk the stack top-down. A block [x] at 1-based depth [d] has
-         fp<last(x), here> = d + 1, or d if [y]'s previous occurrence lies
-         above [x] (then y is already among the d-1 more-recent blocks). *)
-      let y_seen = ref false in
-      Lru_stack.iter_until_depth stack (fun d x ->
-          if x = y then begin
-            y_seen := true;
-            true
-          end
-          else begin
-            let fp = d + if !y_seen then 0 else 1 in
-            if fp <= w then begin
-              (* This y-occurrence sees x (backward); x's latest occurrence
-                 sees y (forward). *)
-              witness y x ky;
-              witness x y occ_idx.(x)
-            end;
-            d < w
-          end);
+      window_blocks stack ~w scratch y;
+      (* This y-occurrence sees x (backward); x's latest occurrence sees y
+         (forward). *)
+      for i = 0 to Int_vec.length scratch - 1 do
+        let x = Int_vec.unsafe_get scratch i in
+        witness wits (Int_pair_tbl.pack y x) ky;
+        witness wits (Int_pair_tbl.pack x y) occ_idx.(x)
+      done;
       Lru_stack.touch stack y)
     trace;
   let pairs = Int_pair_tbl.create ~capacity:1024 () in
@@ -82,8 +89,7 @@ let affine_pairs trace ~w =
       if a < b then begin
         let sat_ab = Int_pair_tbl.snd_of p in
         let sat_ba = Int_pair_tbl.snd_of (Int_pair_tbl.find wits (Int_pair_tbl.pack b a) ~default:0) in
-        if sat_ab = occ.(a) && sat_ba = occ.(b) && occ.(a) > 0 && occ.(b) > 0 then
-          Int_pair_tbl.replace pairs key 1
+        if saturated ~occ a b ~sat_ab ~sat_ba then Int_pair_tbl.replace pairs key 1
       end)
     wits;
   { pairs }

@@ -28,6 +28,31 @@ val pair_list : pair_set -> (int * int) list
 val affine_pairs : Colayout_trace.Trace.t -> w:int -> pair_set
 (** @raise Invalid_argument if [w < 1] or the trace is not trimmed. *)
 
+(** {2 Per-event steps of {!affine_pairs}}
+
+    Exposed so the streaming ingest runs the same walk, witness rule and
+    saturation test over its own stack and tables. *)
+
+val window_blocks :
+  Colayout_trace.Lru_stack.t -> w:int -> Colayout_util.Int_vec.t -> int -> unit
+(** [window_blocks stack ~w scratch y] refills [scratch] with every block
+    [x <> y] on [stack] whose latest occurrence lies within window
+    footprint [w] of the current access to [y], most recent first — the
+    footprint-≤ w walk. Call it before touching [y] on the stack; it never
+    modifies the stack. *)
+
+val witness : Colayout_util.Int_pair_tbl.t -> int -> int -> unit
+(** [witness wits key a_occ] records that occurrence [a_occ] (1-based) of
+    [a] sees [b], where [key] packs the ordered pair [(a, b)]. A witness
+    payload packs [(last_occ, sat)] with [Int_pair_tbl.pack]: [sat] counts
+    the witnessed occurrences of [a] and [last_occ] the latest one counted,
+    so each occurrence counts at most once. An absent entry reads as 0. *)
+
+val saturated : occ:int array -> int -> int -> sat_ab:int -> sat_ba:int -> bool
+(** [saturated ~occ a b ~sat_ab ~sat_ba]: both blocks occur and every
+    occurrence of each is witnessed by the other — the affine-pair test,
+    given occurrence totals [occ] and the two directed saturations. *)
+
 val affine_pairs_naive : Colayout_trace.Trace.t -> w:int -> pair_set
 (** Quadratic-and-worse oracle; small traces only. *)
 

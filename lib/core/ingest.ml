@@ -1,18 +1,19 @@
 open Colayout_util
 open Colayout_trace
 
-(* Streaming profile ingest: the online, sharded, multi-walker form of the
-   two batch analysis kernels ([Trg.build], [Affinity.affine_pairs]).
+(* Streaming profile ingest: the online, multi-walker form of the two
+   batch analysis kernels ([Trg.build], [Affinity.affine_pairs]).
 
-   The design splits each kernel into its two halves. The *walk* half —
-   advancing an LRU stack over a trimmed event stream and deciding which
-   pair keys each event touches — is sequential per stream, so each trace
-   is walked by exactly one walker. The *accumulate* half — folding the
-   emitted table operations into flat int-packed open-addressing tables —
-   is where the memory traffic lives, so it is sharded by a hash of the
-   packed pair key and, with [walkers > 1], further privatized per
-   walker: on flush, each walker drains its own per-shard buffers into
-   its own tables with no locks and no cross-walker writes anywhere.
+   Ingest writes no profile algorithm of its own. Each walker owns one
+   LRU stack and, per event, runs the kernels' own per-event steps
+   against it — [Trg.reuse_window] for the TRG conflicts, then
+   [Affinity.window_blocks] with [Affinity.witness] for the affinity
+   witnesses — and touches the stack once. Every TRG bump and witness
+   update goes straight into the walker's table for that key's shard.
+   [shards] is only the partition the caps apply to: each
+   (walker, shard) table is capped on its own. Every [flush_ops] table
+   ops the walker runs a cap pass over its shards; at epoch boundaries
+   that pass also decays and prunes.
 
    Stream semantics: every completed trace is an independent stream. Each
    walker resets its LRU stack and trimming state at trace boundaries, so
@@ -40,15 +41,15 @@ open Colayout_trace
    [shards], the walker count selects which approximation you get, while
    [jobs] (the pool width) never changes any result.
 
-   With [walkers = 1] the walker runs inline in [feed_sym] and can stream
-   arbitrarily long traces without materializing them. With [walkers > 1]
-   the current trace is staged in memory until [end_trace] assigns it
-   round-robin (by completed-trace index — a config-deterministic
-   assignment) to a walker queue; queues are drained by [Pool] tasks, one
-   task per walker, whenever every walker has work. Flush points are
-   driven by walker-local op counts and epoch maintenance by the global
-   trace counter, so the pool schedule moves *where* work runs, never
-   what is computed. *)
+   With [walkers = 1] the walker runs inline in [feed_sym], never touches
+   the pool, and can stream arbitrarily long traces without materializing
+   them. With [walkers > 1] the current trace is staged in memory until
+   [end_trace] assigns it round-robin (by completed-trace index — a
+   config-deterministic assignment) to a walker queue; queues are drained
+   by [Pool] tasks, one task per walker, whenever every walker has work.
+   Cap passes are driven by walker-local op counts and epoch maintenance
+   by the global trace counter, so the pool schedule moves *where* work
+   runs, never what is computed. *)
 
 type config = {
   num_symbols : int;
@@ -116,24 +117,22 @@ type stats = {
   dead_pruned : int;
 }
 
-(* One independent stream walker: private LRU stack, trim state, op
-   buffers, shard tables, occurrence counts and stat counters. A walker
-   is touched either by the calling domain (walkers = 1) or by exactly
-   one pool task per dispatch (walkers > 1) — never concurrently. *)
+(* One independent stream walker: private LRU stack, trim state, shard
+   tables, occurrence counts and stat counters. A walker is touched
+   either by the calling domain (walkers = 1) or by exactly one pool task
+   per dispatch (walkers > 1) — never concurrently. *)
 type walker = {
   id : int;
   stack : Lru_stack.t;
   occ : int array; (* walker-cumulative occurrence count per symbol *)
   scratch : Int_vec.t;
-  trg_bufs : Int_vec.t array; (* packed canonical (lo, hi) keys, +1 each *)
-  wit_bufs : Int_vec.t array; (* (packed ordered (a, b) key, a_occ) pairs *)
   shards : shard array;
   queue : int array Queue.t; (* completed traces awaiting this walker *)
   delta : Metrics.t option; (* walker-private registry, folded per dispatch *)
   wh_trace : Metrics.histogram option; (* ingest.trace_ns in [delta] *)
   wh_walker : Metrics.histogram option; (* ingest.walker.<id>.trace_ns in [delta] *)
   mutable last_sym : int; (* per-trace inline trimming state *)
-  mutable pending_ops : int;
+  mutable pending_ops : int; (* table ops since the last cap pass *)
   mutable kept_events : int;
   mutable trg_ops : int;
   mutable wit_ops : int;
@@ -175,8 +174,6 @@ let make_walker (cfg : config) metrics i : walker =
     stack = Lru_stack.create ();
     occ = Array.make cfg.num_symbols 0;
     scratch = Int_vec.create ~capacity:(min cfg.trg_window 4096) ();
-    trg_bufs = Array.init cfg.shards (fun _ -> Int_vec.create ~capacity:1024 ());
-    wit_bufs = Array.init cfg.shards (fun _ -> Int_vec.create ~capacity:1024 ());
     shards =
       Array.init cfg.shards (fun _ ->
           {
@@ -223,17 +220,16 @@ let create ?pool ?metrics cfg =
     trace_t0 = 0L;
   }
 
-let config_of t = t.cfg
-
 (* splitmix64-style finisher over the packed key. Shard choice must be a
-   pure function of the key (never of arrival order) so one key's ops
-   always serialize through one shard's buffer. *)
+   pure function of the key (never of arrival order) so one key always
+   lives in one shard table. *)
 let mix k =
   let h = k lxor (k lsr 31) in
   let h = h * 0x2545F4914F6CDD1D in
   (h lxor (h lsr 29)) land max_int
 
-let shard_of t key = if t.cfg.shards = 1 then 0 else mix key mod t.cfg.shards
+let shard t (wk : walker) key =
+  wk.shards.(if t.cfg.shards = 1 then 0 else mix key mod t.cfg.shards)
 
 (* Deterministic cap eviction: drop the (rank, key) — smallest entries
    until the table is back under [cap]. The key tiebreak makes the order
@@ -306,84 +302,31 @@ let prune_dead_tbl occ tbl =
   Int_vec.iter (fun k -> Int_pair_tbl.remove tbl k) dead;
   Int_vec.length dead
 
-type shard_flush = {
-  sf_trg_evicted : int;
-  sf_wits_evicted : int;
-  sf_decay_dropped : int;
-  sf_dead_pruned : int;
-  sf_trg_live : int;
-  sf_wits_live : int;
-}
-
-(* Drain walker [wk]'s shard [s] op buffer into its tables, then run
-   maintenance. Touches only walker-and-shard-private state plus the
-   walker's [occ] array (the walk is parked during a flush). Ops apply in
-   buffer order = stream order, so order-sensitive witness updates see
-   exactly the batch kernel's update sequence. *)
-let apply_shard t (wk : walker) s ~maintain =
-  let sh = wk.shards.(s) in
-  let tb = wk.trg_bufs.(s) and wb = wk.wit_bufs.(s) in
-  let n = Int_vec.length tb in
-  for i = 0 to n - 1 do
-    ignore (Int_pair_tbl.add_to sh.trg (Int_vec.unsafe_get tb i) 1)
-  done;
-  let m = Int_vec.length wb in
-  let i = ref 0 in
-  while !i < m do
-    let key = Int_vec.unsafe_get wb !i in
-    let a_occ = Int_vec.unsafe_get wb (!i + 1) in
-    let p = Int_pair_tbl.find sh.wits key ~default:0 in
-    if Int_pair_tbl.fst_of p < a_occ then
-      Int_pair_tbl.replace sh.wits key (Int_pair_tbl.pack a_occ (Int_pair_tbl.snd_of p + 1));
-    i := !i + 2
-  done;
-  Int_vec.clear tb;
-  Int_vec.clear wb;
-  let decay_dropped =
-    if maintain && t.cfg.decay_shift > 0 then decay_tbl sh.trg t.cfg.decay_shift else 0
-  in
-  let dead_pruned = if maintain && t.cfg.prune_dead then prune_dead_tbl wk.occ sh.wits else 0 in
-  let trg_evicted = evict_to_cap sh.trg ~cap:t.cfg.trg_cap ~rank:(fun _ w -> w) in
-  let wits_evicted =
-    evict_to_cap sh.wits ~cap:t.cfg.wits_cap ~rank:(fun _ p -> Int_pair_tbl.fst_of p)
-  in
-  {
-    sf_trg_evicted = trg_evicted;
-    sf_wits_evicted = wits_evicted;
-    sf_decay_dropped = decay_dropped;
-    sf_dead_pruned = dead_pruned;
-    sf_trg_live = Int_pair_tbl.length sh.trg;
-    sf_wits_live = Int_pair_tbl.length sh.wits;
-  }
-
-(* Flush one walker's buffers. With a single walker the shards fan out
-   over the pool (the legacy path); inside walker tasks the shards apply
-   inline — the walkers themselves are the parallel axis, and the pool
-   rejects nested submission anyway. *)
+(* One walker's cap pass: decay and prune at epochs, then evict each
+   shard table back under its cap. Touches only walker-private state (the
+   walk is parked during a pass). *)
 let flush_walker t (wk : walker) ~maintain =
   if wk.pending_ops > 0 || maintain then begin
-    let run s = apply_shard t wk s ~maintain in
-    let idx = Array.init t.cfg.shards Fun.id in
-    let results =
-      match t.pool with
-      | Some pool when t.cfg.walkers = 1 && t.cfg.shards > 1 -> Pool.map_array pool run idx
-      | _ -> Array.map run idx
-    in
     Array.iter
-      (fun r ->
-        wk.trg_evicted <- wk.trg_evicted + r.sf_trg_evicted;
-        wk.wits_evicted <- wk.wits_evicted + r.sf_wits_evicted;
-        wk.decay_dropped <- wk.decay_dropped + r.sf_decay_dropped;
-        wk.dead_pruned <- wk.dead_pruned + r.sf_dead_pruned;
-        if r.sf_trg_live > wk.trg_peak_shard then wk.trg_peak_shard <- r.sf_trg_live;
-        if r.sf_wits_live > wk.wits_peak_shard then wk.wits_peak_shard <- r.sf_wits_live)
-      results;
+      (fun sh ->
+        if maintain && t.cfg.decay_shift > 0 then
+          wk.decay_dropped <- wk.decay_dropped + decay_tbl sh.trg t.cfg.decay_shift;
+        if maintain && t.cfg.prune_dead then
+          wk.dead_pruned <- wk.dead_pruned + prune_dead_tbl wk.occ sh.wits;
+        wk.trg_evicted <-
+          wk.trg_evicted + evict_to_cap sh.trg ~cap:t.cfg.trg_cap ~rank:(fun _ w -> w);
+        wk.wits_evicted <-
+          wk.wits_evicted
+          + evict_to_cap sh.wits ~cap:t.cfg.wits_cap ~rank:(fun _ p -> Int_pair_tbl.fst_of p);
+        wk.trg_peak_shard <- max wk.trg_peak_shard (Int_pair_tbl.length sh.trg);
+        wk.wits_peak_shard <- max wk.wits_peak_shard (Int_pair_tbl.length sh.wits))
+      wk.shards;
     wk.pending_ops <- 0;
     wk.flushes <- wk.flushes + 1
   end
 
-(* The shared per-event kernel: both batch walks against one walker's
-   state, with table bumps deferred to per-shard ops. *)
+(* One event of one walker's stream: the batch kernels' per-event steps
+   over the walker's stack, writing straight into its shard tables. *)
 let walk_event t (wk : walker) x =
   if x <> wk.last_sym then begin
     (* Inline trimming: the batch kernels require a trimmed trace, so the
@@ -394,56 +337,30 @@ let walk_event t (wk : walker) x =
     wk.last_sym <- x;
     wk.kept_events <- wk.kept_events + 1;
     wk.occ.(x) <- wk.occ.(x) + 1;
-    let ops_before = wk.trg_ops + wk.wit_ops in
-    (* TRG walk — [Trg.build]'s loop with the bump deferred to an op. *)
-    Int_vec.clear wk.scratch;
-    let found = ref false in
-    Lru_stack.iter_until_depth wk.stack (fun d y ->
-        if y = x then begin
-          found := true;
-          false
-        end
-        else if d >= t.cfg.trg_window then false
-        else begin
-          Int_vec.push wk.scratch y;
-          true
-        end);
-    if !found then
-      Int_vec.iter
-        (fun y ->
-          let lo = if x < y then x else y in
-          let hi = if x < y then y else x in
-          let key = Int_pair_tbl.pack lo hi in
-          Int_vec.push wk.trg_bufs.(shard_of t key) key;
-          wk.trg_ops <- wk.trg_ops + 1)
-        wk.scratch;
-    (* Affinity walk — [Affinity.affine_pairs]'s loop with both witness
-       directions deferred to ops. *)
-    let w = t.cfg.affinity_w in
-    let kx = wk.occ.(x) in
-    let x_seen = ref false in
-    Lru_stack.iter_until_depth wk.stack (fun d y ->
-        if y = x then begin
-          x_seen := true;
-          true
-        end
-        else begin
-          let fp = d + if !x_seen then 0 else 1 in
-          if fp <= w then begin
-            let kxy = Int_pair_tbl.pack x y in
-            let buf = wk.wit_bufs.(shard_of t kxy) in
-            Int_vec.push buf kxy;
-            Int_vec.push buf kx;
-            let kyx = Int_pair_tbl.pack y x in
-            let buf = wk.wit_bufs.(shard_of t kyx) in
-            Int_vec.push buf kyx;
-            Int_vec.push buf wk.occ.(y);
-            wk.wit_ops <- wk.wit_ops + 2
-          end;
-          d < w
-        end);
+    let trg_n =
+      if Trg.reuse_window wk.stack ~window:t.cfg.trg_window wk.scratch x then begin
+        for i = 0 to Int_vec.length wk.scratch - 1 do
+          let y = Int_vec.unsafe_get wk.scratch i in
+          let key = if x < y then Int_pair_tbl.pack x y else Int_pair_tbl.pack y x in
+          ignore (Int_pair_tbl.add_to (shard t wk key).trg key 1)
+        done;
+        Int_vec.length wk.scratch
+      end
+      else 0
+    in
+    Affinity.window_blocks wk.stack ~w:t.cfg.affinity_w wk.scratch x;
+    for i = 0 to Int_vec.length wk.scratch - 1 do
+      let y = Int_vec.unsafe_get wk.scratch i in
+      let kxy = Int_pair_tbl.pack x y in
+      Affinity.witness (shard t wk kxy).wits kxy wk.occ.(x);
+      let kyx = Int_pair_tbl.pack y x in
+      Affinity.witness (shard t wk kyx).wits kyx wk.occ.(y)
+    done;
+    let wit_n = 2 * Int_vec.length wk.scratch in
     Lru_stack.touch wk.stack x;
-    wk.pending_ops <- wk.pending_ops + (wk.trg_ops + wk.wit_ops - ops_before);
+    wk.trg_ops <- wk.trg_ops + trg_n;
+    wk.wit_ops <- wk.wit_ops + wit_n;
+    wk.pending_ops <- wk.pending_ops + trg_n + wit_n;
     if wk.pending_ops >= t.cfg.flush_ops then flush_walker t wk ~maintain:false
   end
 
@@ -466,17 +383,22 @@ let walker_drain t (wk : walker) =
     | None -> ()
   done
 
-(* Run every walker's queued traces to completion, one pool task per
-   walker, then fold the walker-private metric deltas into the shared
-   registry. Which domain runs which walker is schedule-dependent; what
-   each walker computes is not. *)
+(* Run [f] on every walker: one pool task per walker when there are
+   several — the walkers are the parallel axis — and inline otherwise, so
+   a single walker never touches the pool. *)
+let each_walker t f =
+  match t.pool with
+  | Some pool when t.cfg.walkers > 1 ->
+    ignore (Pool.map_array pool (fun wi -> f t.walkers.(wi)) (Array.init t.cfg.walkers Fun.id))
+  | _ -> Array.iter f t.walkers
+
+(* Run every walker's queued traces to completion, then fold the
+   walker-private metric deltas into the shared registry. Which domain
+   runs which walker is schedule-dependent; what each walker computes is
+   not. *)
 let dispatch t =
   if t.cfg.walkers > 1 && t.queued > 0 then begin
-    let idx = Array.init t.cfg.walkers Fun.id in
-    let run wi = walker_drain t t.walkers.(wi) in
-    (match t.pool with
-    | Some pool -> ignore (Pool.map_array pool run idx)
-    | None -> Array.iter run idx);
+    each_walker t (walker_drain t);
     t.queued <- 0;
     t.dispatches <- t.dispatches + 1;
     match t.metrics with
@@ -494,17 +416,8 @@ let dispatch t =
 
 let flush_all t ~maintain =
   dispatch t;
-  if t.cfg.walkers = 1 then flush_walker t t.walkers.(0) ~maintain
-  else begin
-    let any = Array.exists (fun (wk : walker) -> wk.pending_ops > 0) t.walkers in
-    if any || maintain then begin
-      let idx = Array.init t.cfg.walkers Fun.id in
-      let run wi = flush_walker t t.walkers.(wi) ~maintain in
-      match t.pool with
-      | Some pool -> ignore (Pool.map_array pool run idx)
-      | None -> Array.iter run idx
-    end
-  end
+  if maintain || Array.exists (fun (wk : walker) -> wk.pending_ops > 0) t.walkers then
+    each_walker t (fun wk -> flush_walker t wk ~maintain)
 
 let flush t = flush_all t ~maintain:false
 
@@ -568,20 +481,10 @@ let ingest_trace t tr =
   feed_trace t tr;
   end_trace t
 
-let feed_file t ~path =
-  Trace_io.with_reader ~path (fun r ->
-      if Trace_io.reader_num_symbols r <> t.cfg.num_symbols then
-        invalid_arg "Ingest.feed_file: trace symbol universe does not match config";
-      let buf = Array.make (1 lsl 16) 0 in
-      let rec go () =
-        let n = Trace_io.read_chunk r buf in
-        if n > 0 then begin
-          feed_chunk t buf n;
-          go ()
-        end
-      in
-      go ());
-  end_trace t
+(* All or nothing: the whole file is decoded and validated before its
+   first event reaches a walker, so a truncated or corrupt file raises
+   with the accumulators untouched and can be fed again later. *)
+let feed_file t ~path = ingest_trace t (Trace_io.load ~path)
 
 let stats t : stats =
   let sum f = Array.fold_left (fun a wk -> a + f wk) 0 t.walkers in
@@ -614,96 +517,42 @@ let stats t : stats =
 
 type consensus = { trg : Trg.t; affine : int array }
 
-let affine_list c =
-  Array.to_list (Array.map (fun k -> (Int_pair_tbl.fst_of k, Int_pair_tbl.snd_of k)) c.affine)
-
-(* Non-destructive merge across walkers and shards. TRG edge weights sum
-   per key; directed witness saturations sum per key; occurrence counts
-   sum per symbol; the batch saturation test then runs against the merged
-   totals. With one walker the sums are identities, so the cheaper direct
-   paths (no accumulator tables) are kept. Accumulation continues
-   afterwards. *)
+(* Non-destructive merge across walkers and shards: TRG edge weights sum
+   per key ([Trg.of_edges] sums repeated pairs); directed witness
+   saturations sum per key; occurrence counts sum per symbol; the batch
+   saturation test then runs against the merged totals. Accumulation
+   continues afterwards. *)
 let finalize t =
   flush t;
   let t0 = t.clock () in
   let nsym = t.cfg.num_symbols in
-  let trg =
-    if t.cfg.walkers = 1 then begin
-      let edges = ref [] in
+  let edges = ref [] in
+  let occ = Array.make nsym 0 in
+  let sat = Int_pair_tbl.create ~capacity:1024 () in
+  Array.iter
+    (fun (wk : walker) ->
+      Array.iteri (fun i n -> occ.(i) <- occ.(i) + n) wk.occ;
       Array.iter
         (fun (sh : shard) ->
           Int_pair_tbl.iter
             (fun k w -> edges := (Int_pair_tbl.fst_of k, Int_pair_tbl.snd_of k, w) :: !edges)
-            sh.trg)
-        t.walkers.(0).shards;
-      Trg.of_edges ~num_nodes:nsym !edges
-    end
-    else begin
-      let acc = Int_pair_tbl.create ~capacity:1024 () in
-      Array.iter
-        (fun (wk : walker) ->
-          Array.iter
-            (fun (sh : shard) -> Int_pair_tbl.iter (fun k w -> ignore (Int_pair_tbl.add_to acc k w)) sh.trg)
-            wk.shards)
-        t.walkers;
-      let edges = ref [] in
-      Int_pair_tbl.iter
-        (fun k w -> edges := (Int_pair_tbl.fst_of k, Int_pair_tbl.snd_of k, w) :: !edges)
-        acc;
-      Trg.of_edges ~num_nodes:nsym !edges
-    end
-  in
+            sh.trg;
+          Int_pair_tbl.iter
+            (fun key p -> ignore (Int_pair_tbl.add_to sat key (Int_pair_tbl.snd_of p)))
+            sh.wits)
+        wk.shards)
+    t.walkers;
+  let trg = Trg.of_edges ~num_nodes:nsym !edges in
   let pairs = Int_vec.create ~capacity:64 () in
-  if t.cfg.walkers = 1 then begin
-    let wk = t.walkers.(0) in
-    Array.iter
-      (fun (sh : shard) ->
-        Int_pair_tbl.iter
-          (fun key p ->
-            let a = Int_pair_tbl.fst_of key in
-            let b = Int_pair_tbl.snd_of key in
-            if a < b then begin
-              let sat_ab = Int_pair_tbl.snd_of p in
-              let rk = Int_pair_tbl.pack b a in
-              let sat_ba =
-                Int_pair_tbl.snd_of
-                  (Int_pair_tbl.find wk.shards.(shard_of t rk).wits rk ~default:0)
-              in
-              if sat_ab = wk.occ.(a) && sat_ba = wk.occ.(b) && wk.occ.(a) > 0 && wk.occ.(b) > 0
-              then Int_vec.push pairs key
-            end)
-          sh.wits)
-      wk.shards
-  end
-  else begin
-    let occ_tot = Array.make nsym 0 in
-    Array.iter
-      (fun (wk : walker) ->
-        for i = 0 to nsym - 1 do
-          occ_tot.(i) <- occ_tot.(i) + wk.occ.(i)
-        done)
-      t.walkers;
-    let sat = Int_pair_tbl.create ~capacity:1024 () in
-    Array.iter
-      (fun (wk : walker) ->
-        Array.iter
-          (fun (sh : shard) ->
-            Int_pair_tbl.iter
-              (fun key p -> ignore (Int_pair_tbl.add_to sat key (Int_pair_tbl.snd_of p)))
-              sh.wits)
-          wk.shards)
-      t.walkers;
-    Int_pair_tbl.iter
-      (fun key sat_ab ->
-        let a = Int_pair_tbl.fst_of key in
-        let b = Int_pair_tbl.snd_of key in
-        if a < b then begin
-          let sat_ba = Int_pair_tbl.find sat (Int_pair_tbl.pack b a) ~default:0 in
-          if sat_ab = occ_tot.(a) && sat_ba = occ_tot.(b) && occ_tot.(a) > 0 && occ_tot.(b) > 0
-          then Int_vec.push pairs key
-        end)
-      sat
-  end;
+  Int_pair_tbl.iter
+    (fun key sat_ab ->
+      let a = Int_pair_tbl.fst_of key in
+      let b = Int_pair_tbl.snd_of key in
+      if a < b then begin
+        let sat_ba = Int_pair_tbl.find sat (Int_pair_tbl.pack b a) ~default:0 in
+        if Affinity.saturated ~occ a b ~sat_ab ~sat_ba then Int_vec.push pairs key
+      end)
+    sat;
   let affine = Int_vec.to_array pairs in
   Array.sort compare affine;
   t.merges <- t.merges + 1;
@@ -799,5 +648,3 @@ let batch_digests_parts ~trg_window ~affinity_w traces =
   let packed = Array.of_list keep in
   Array.sort compare packed;
   (trg_digest trg, affine_digest packed)
-
-let batch_digests ~trg_window ~affinity_w trace = batch_digests_parts ~trg_window ~affinity_w [ trace ]

@@ -1,5 +1,13 @@
-(** Streaming profile ingest: sharded, multi-walker online TRG and
-    affinity accumulation, bit-identical to the batch kernels.
+(** Streaming profile ingest: multi-walker online TRG and affinity
+    accumulation, bit-identical to the batch kernels.
+
+    Ingest is a client of the batch kernels: each walker owns one LRU
+    stack and runs, per event, the same steps [Trg.build] and
+    [Affinity.affine_pairs] are made of ([Trg.reuse_window],
+    [Affinity.window_blocks], [Affinity.witness]), writing every TRG bump
+    and witness update straight into its own tables. A walker's tables
+    are split into [shards] by a hash of the packed pair key; the split
+    only decides what each table cap applies to.
 
     Every completed trace is an independent stream: the walker that
     processes it starts from an empty LRU stack and fresh trimming state,
@@ -9,20 +17,20 @@
     walkers sound:
 
     - with [walkers = 1] the single walker runs inline in {!feed_sym}
-      (streaming, never materializing a trace) and resets its stack at
-      every {!end_trace};
+      (streaming, never materializing a trace, never using the pool) and
+      resets its stack at every {!end_trace};
     - with [walkers > 1] each completed trace is assigned round-robin (by
       completed-trace index — a config-deterministic assignment) to one
       of W walker states, each owning a private LRU stack, occurrence
-      array, per-shard op buffers and shard tables; walker queues drain
-      as [Pool] tasks, one task per walker.
+      array and shard tables; walker queues drain as [Pool] tasks, one
+      task per walker.
 
     {!finalize} merges walker-local tables by the witness/occurrence
     algebra: TRG edge weights sum per key; directed witness saturations
     sum per key; occurrence counts sum per symbol; the batch saturated-
-    pair test (sat(a,b) = occ(a) in both directions) then runs on the
-    merged totals. Because windows never span trace boundaries, each
-    walker's saturation is itself a sum of per-trace saturations, with
+    pair test ([Affinity.saturated]) then runs on the merged totals.
+    Because windows never span trace boundaries, each walker's
+    saturation is itself a sum of per-trace saturations, with
     sat <= occ per trace — so the merged sum saturates iff every trace
     saturates, i.e. exactly the batch condition on each part. Hence the
     consensus CSR and affine set are bit-identical at any
@@ -31,18 +39,19 @@
     checkable).
 
     Memory is bounded, deterministically in the config and feed order
-    (never in the pool schedule), by three epoch/flush-time mechanisms:
-    per-(walker, shard) table caps (evict smallest (rank, key)), TRG
-    weight decay (drop zeros), and exact dead-witness pruning. Pruning
-    never changes the final affine set, merged or not; caps and decay
-    trade exactness for bounded tables, and — like [shards] — the
-    [walkers] count is part of the approximation's definition, while
-    [jobs] never changes any result. *)
+    (never in the pool schedule), by a cap pass every [flush_ops] table
+    ops and at epochs: per-(walker, shard) table caps (evict smallest
+    (rank, key)), TRG weight decay (drop zeros) and exact dead-witness
+    pruning, the last two at epochs only. Pruning never changes the
+    final affine set, merged or not; caps and decay trade exactness for
+    bounded tables, and — like [shards] — the [walkers] count is part
+    of the approximation's definition, while [jobs] never changes any
+    result. *)
 
 type config = {
   num_symbols : int;
   walkers : int;  (** Parallel stream walkers; traces partition round-robin. *)
-  shards : int;
+  shards : int;  (** Partitions of each walker's tables; the caps apply per partition. *)
   trg_window : int;  (** TRG LRU window (distinct blocks). *)
   affinity_w : int;  (** Affinity window footprint bound w. *)
   trg_cap : int;  (** Per-(walker, shard) TRG edge cap; 0 = unbounded. *)
@@ -50,7 +59,7 @@ type config = {
   decay_shift : int;  (** TRG weights decay by [lsr decay_shift] per epoch; 0 = off. *)
   epoch_traces : int;  (** Maintenance every N completed traces; 0 = never. *)
   prune_dead : bool;  (** Exact dead-witness pruning at epochs. *)
-  flush_ops : int;  (** Buffered ops per walker that trigger its flush. *)
+  flush_ops : int;  (** Table ops per walker between cap passes. *)
 }
 
 val config :
@@ -68,22 +77,20 @@ val config :
   unit ->
   config
 (** Validated smart constructor (defaults: 1 walker, 1 shard, window 256,
-    w 16, unbounded, no decay, no epochs, pruning on, flush at 65536
-    ops). @raise Invalid_argument on out-of-range fields. *)
+    w 16, unbounded, no decay, no epochs, pruning on, a cap pass every
+    65536 ops). @raise Invalid_argument on out-of-range fields. *)
 
 type t
 
 val create : ?pool:Colayout_util.Pool.t -> ?metrics:Colayout_util.Metrics.t -> config -> t
-(** Without a pool, walkers and shard flushes apply inline on the calling
-    domain (still producing identical results). With metrics, per-trace
-    walk latency lands in the [ingest.trace_ns] histogram (plus a
-    per-walker [ingest.walker.<i>.trace_ns] histogram when
+(** Without a pool, or with one walker, every walker runs inline on the
+    calling domain (still producing identical results). With metrics,
+    per-trace walk latency lands in the [ingest.trace_ns] histogram (plus
+    a per-walker [ingest.walker.<i>.trace_ns] histogram when
     [walkers > 1]), and merge latency in [ingest.merge_ns]; walker tasks
     record into private registries folded into the shared one with
     [Metrics.merge] after each dispatch barrier, so pooled percentiles
     survive. *)
-
-val config_of : t -> config
 
 val feed_sym : t -> int -> unit
 (** Feed one event of the current trace. With [walkers > 1] the event is
@@ -112,13 +119,18 @@ val ingest_trace : t -> Colayout_trace.Trace.t -> unit
 (** {!feed_trace} then {!end_trace}. *)
 
 val feed_file : t -> path:string -> unit
-(** Stream one trace file through the chunked [Trace_io] reader (without
-    materializing it when [walkers = 1]) and {!end_trace}. *)
+(** Ingest one trace file as one trace, all or nothing: the whole file is
+    decoded and validated (held in memory, one int per event) before its
+    first event is fed, then {!end_trace}.
+    @raise Failure on a truncated or malformed file, with [t] untouched;
+    @raise Invalid_argument when its symbol universe differs from the
+    config's, also with [t] untouched. *)
 
 val flush : t -> unit
-(** Drain queued traces through their walkers, then drain all buffered
-    ops into the walker-local shard tables (no epoch maintenance).
-    Called automatically when [flush_ops] is reached and by {!finalize}. *)
+(** Drain queued traces through their walkers, then run a cap pass on
+    every walker with table ops since its last one (no epoch
+    maintenance). A walker also runs its own pass when it reaches
+    [flush_ops]; {!finalize} calls this first. *)
 
 type stats = {
   traces : int;
@@ -126,14 +138,14 @@ type stats = {
   kept_events : int;  (** Events surviving per-trace inline trimming, summed over walkers. *)
   trg_ops : int;
   wit_ops : int;
-  flushes : int;  (** Per-walker flushes, summed. *)
+  flushes : int;  (** Per-walker cap passes, summed. *)
   dispatches : int;  (** Walker-queue dispatch barriers (walkers > 1). *)
   epochs : int;
   merges : int;
   trg_live : int;  (** Current TRG entries, summed over walkers and shards. *)
   wits_live : int;
   trg_peak_shard : int;
-      (** Max per-(walker, shard) TRG entries at any flush boundary — the
+      (** Max per-(walker, shard) TRG entries after any cap pass — the
           quantity the per-table caps bound. *)
   wits_peak_shard : int;
   trg_evicted : int;  (** Summed over walkers; deterministic in config, not pool schedule. *)
@@ -160,13 +172,9 @@ val finalize : t -> consensus
     each trace independently and merged — at any walkers, shards and
     jobs count. *)
 
-val affine_list : consensus -> (int * int) list
-
 val consensus_digests : consensus -> string * string
 (** [(trg_digest, affine_digest)] over canonical renderings (CSR edge
     sweep; sorted packed pairs). *)
-
-val trg_digest : Trg.t -> string
 
 val batch_digests_parts :
   trg_window:int -> affinity_w:int -> Colayout_trace.Trace.t list -> string * string
@@ -176,7 +184,3 @@ val batch_digests_parts :
     as {!finalize} — TRG weights sum; a pair is affine for the union iff
     every part either saturates it or contains neither symbol.
     @raise Invalid_argument on an empty list or mismatched universes. *)
-
-val batch_digests :
-  trg_window:int -> affinity_w:int -> Colayout_trace.Trace.t -> string * string
-(** [batch_digests_parts] of the single-trace stream. *)

@@ -136,36 +136,40 @@ let edges t =
   iter_edges_by_weight (fun x y w -> acc := (x, y, w) :: !acc) t;
   List.rev !acc
 
+(* If [x] recurs within [window] distinct blocks, every block above it on
+   the stack occurred between its two successive occurrences: one
+   potential conflict each. The walk stops on [x] or at the window edge,
+   so it costs at most [window] steps and leaves the stack untouched. *)
+let reuse_window stack ~window scratch x =
+  Int_vec.clear scratch;
+  let found = ref false in
+  Lru_stack.iter_until_depth stack (fun d y ->
+      if y = x then begin
+        found := true;
+        false
+      end
+      else if d >= window then false
+      else begin
+        Int_vec.push scratch y;
+        true
+      end);
+  !found
+
 let build ?(window = max_int) trace =
   if window < 1 then invalid_arg "Trg.build: window must be >= 1";
   if not (Trim.is_trimmed trace) then invalid_arg "Trg.build: trace must be trimmed";
   let t = create_building (Trace.num_symbols trace) in
   let stack = Lru_stack.create () in
   (* One reusable scratch buffer instead of a freshly consed [betweens] list
-     per trace event: the steady state allocates nothing. Each event walks
-     the stack exactly once, capped at the window; [touch] then updates the
-     stack in O(1) instead of [access]'s full-depth counting walk. *)
+     per trace event: the steady state allocates nothing. [touch] then
+     updates the stack in O(1) instead of [access]'s full-depth walk. *)
   let scratch = Int_vec.create ~capacity:(min window 4096) () in
   Trace.iter
     (fun x ->
-      (* If x recurs within the window, every block above it on the stack
-         occurred between its two successive occurrences: one potential
-         conflict each. *)
-      Int_vec.clear scratch;
-      let found = ref false in
-      Lru_stack.iter_until_depth stack (fun d y ->
-          if y = x then begin
-            found := true;
-            false
-          end
-          else if d >= window then false
-          else begin
-            Int_vec.push scratch y;
-            true
-          end);
-      (* Only count when x was actually found within the window: the walk
-         must have stopped on x, not on depth exhaustion. *)
-      if !found then Int_vec.iter (fun y -> bump t x y 1) scratch;
+      if reuse_window stack ~window scratch x then
+        for i = 0 to Int_vec.length scratch - 1 do
+          bump t x (Int_vec.unsafe_get scratch i) 1
+        done;
       Lru_stack.touch stack x)
     trace;
   finalize t;

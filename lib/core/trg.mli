@@ -26,6 +26,15 @@ type t
 val build : ?window:int -> Colayout_trace.Trace.t -> t
 (** [window] in blocks; default unbounded. The trace must be trimmed. *)
 
+val reuse_window :
+  Colayout_trace.Lru_stack.t -> window:int -> Colayout_util.Int_vec.t -> int -> bool
+(** The per-event step of {!build}. [reuse_window stack ~window scratch x]
+    is [true] when [x] is on [stack] within [window] distinct blocks; then
+    [scratch] holds the blocks above [x] — each one conflicts with [x] once.
+    On [false] the contents of [scratch] are meaningless. The caller owns
+    the stack: this never modifies it, so one [Lru_stack.touch] per event
+    can serve several walks. *)
+
 val finalize : t -> unit
 (** Convert to the CSR representation, dropping the construction-time
     table. Idempotent; called implicitly by the edge iterators and by the
@@ -50,9 +59,10 @@ val iter_edges_by_weight : (int -> int -> int -> unit) -> t -> unit
 val degree : t -> int -> int
 
 val of_edges : num_nodes:int -> (int * int * int) list -> t
-(** Build directly from weighted edges (for tests and the Figure 2 worked
-    example). @raise Invalid_argument on self loops, non-positive weights or
-    out-of-range nodes. *)
+(** Build directly from weighted edges (for tests, the Figure 2 worked
+    example and merged streaming tables). Repeated [(x, y)] pairs, in
+    either order, sum their weights. @raise Invalid_argument on self
+    loops, non-positive weights or out-of-range nodes. *)
 
 val recommended_window :
   params:Colayout_cache.Params.t -> block_bytes:int -> cache_multiplier:float -> int

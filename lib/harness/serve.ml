@@ -450,8 +450,9 @@ let watch_spool ~ing ~dirs ?(poll_ms = 50) ?(skip = []) ?on_poll ~timeout_s () =
       Hashtbl.replace seen path Ingested;
       incr ingested
     | exception Failure _ ->
-      (* Truncated body: the stability heuristic lost; retry from scratch
-         on a later poll once the stat settles again. *)
+      (* Truncated body: the stability heuristic lost. [feed_file] is all
+         or nothing, so nothing was ingested; retry on a later poll once
+         the stat settles again. *)
       Hashtbl.remove seen path
     | exception Invalid_argument _ ->
       Hashtbl.replace seen path Skipped;

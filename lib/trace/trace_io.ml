@@ -16,9 +16,12 @@ let zigzag n = if n >= 0 then n lsl 1 else ((-n) lsl 1) - 1
 let unzigzag z = if z land 1 = 0 then z lsr 1 else -((z + 1) lsr 1)
 
 (* Streaming varint reader over an input channel with a one-byte interface;
-   buffered by the channel itself. *)
+   buffered by the channel itself. [write_varint] never emits more than 9
+   bytes (7 bits each cover the 63-bit int), so a tenth byte is corruption,
+   not a large value. *)
 let read_varint ic =
   let rec go shift acc =
+    if shift > 56 then failwith "Trace_io: varint longer than 9 bytes";
     match In_channel.input_char ic with
     | None -> failwith "Trace_io: truncated varint"
     | Some c ->
@@ -61,10 +64,12 @@ type reader = {
 let open_reader ~path =
   let ic = open_in_bin path in
   match
-    let m = really_input_string ic (String.length magic) in
-    if m <> magic then failwith "Trace_io: bad magic";
+    let m = In_channel.really_input_string ic (String.length magic) in
+    if m <> Some magic then failwith "Trace_io: bad magic";
     let num_symbols = read_varint ic in
     let len = read_varint ic in
+    if num_symbols < 1 then failwith "Trace_io: symbol universe must be >= 1";
+    if len < 0 then failwith "Trace_io: negative event count";
     (num_symbols, len)
   with
   | num_symbols, len ->
@@ -92,6 +97,8 @@ let read_chunk r buf =
   let prev = ref r.r_prev in
   for i = 0 to n - 1 do
     let s = !prev + unzigzag (read_varint r.ic) in
+    if s < 0 || s >= r.r_num_symbols then
+      failwith (Printf.sprintf "Trace_io: event %d outside [0, %d)" s r.r_num_symbols);
     buf.(i) <- s;
     prev := s
   done;

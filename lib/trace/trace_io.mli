@@ -17,7 +17,8 @@ val save : path:string -> Trace.t -> unit
 
 val load : path:string -> Trace.t
 (** Eager read (built on {!with_reader}) for the batch path.
-    @raise Failure on a malformed or truncated file. *)
+    @raise Failure on a malformed or truncated file (never
+    [Invalid_argument], whatever the bytes). *)
 
 (** {2 Chunked streaming reads}
 
@@ -29,7 +30,9 @@ val load : path:string -> Trace.t
 type reader
 
 val open_reader : path:string -> reader
-(** @raise Failure on bad magic or a truncated header;
+(** @raise Failure on bad magic or a truncated or invalid header (a
+    symbol universe below 1, a negative event count, a varint longer than
+    9 bytes);
     @raise Sys_error on I/O failure. The channel is closed on raise. *)
 
 val reader_num_symbols : reader -> int
@@ -43,7 +46,8 @@ val reader_remaining : reader -> int
 val read_chunk : reader -> int array -> int
 (** [read_chunk r buf] fills a prefix of [buf] with the next events and
     returns how many were written — 0 exactly at end of stream.
-    @raise Failure on a truncated body;
+    @raise Failure on a truncated body, an over-long varint or an event
+    outside [\[0, reader_num_symbols r)];
     @raise Invalid_argument after {!close_reader}. *)
 
 val close_reader : reader -> unit

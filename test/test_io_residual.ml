@@ -68,6 +68,76 @@ let test_bad_magic () =
   | _ -> Alcotest.fail "expected Failure");
   Sys.remove path
 
+(* External bytes fail only with [Failure]: truncated, bit-flipped and
+   spliced trace files either decode or raise [Failure] from both the
+   eager [load] and a [read_chunk] loop — never [Invalid_argument],
+   [End_of_file] or a silent out-of-range event. Splices join files of
+   different symbol universes, so their tails decode to symbols the
+   header's universe does not contain. *)
+let corrupt_trace_prop =
+  let file_bytes ~num_symbols xs =
+    let path = tmp "corrupt_src.trc" in
+    Trace_io.save ~path (Trace.of_list ~num_symbols xs);
+    let b = In_channel.with_open_bin path In_channel.input_all in
+    Sys.remove path;
+    b
+  in
+  let decodes_or_fails bytes =
+    let path = tmp "corrupt.trc" in
+    Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+    let only_failure f = match f () with _ -> true | exception Failure _ -> true in
+    let ok =
+      only_failure (fun () -> ignore (Trace_io.load ~path))
+      && only_failure (fun () ->
+             Trace_io.with_reader ~path (fun r ->
+                 let buf = Array.make 7 0 in
+                 let rec go () =
+                   let n = Trace_io.read_chunk r buf in
+                   for i = 0 to n - 1 do
+                     if buf.(i) < 0 || buf.(i) >= Trace_io.reader_num_symbols r then
+                       Alcotest.failf "event %d escaped the universe check" buf.(i)
+                   done;
+                   if n > 0 then go ()
+                 in
+                 go ()))
+    in
+    Sys.remove path;
+    ok
+  in
+  QCheck.Test.make ~name:"corrupt trace files raise only Failure" ~count:300
+    QCheck.(quad (list (int_bound 299)) (list (int_bound 9)) small_nat small_nat)
+    (fun (xs, ys, i, j) ->
+      let a = file_bytes ~num_symbols:300 xs and b = file_bytes ~num_symbols:10 ys in
+      let la = String.length a and lb = String.length b in
+      let flipped = Bytes.of_string a in
+      let k = i mod la in
+      Bytes.set flipped k (Char.chr (Char.code a.[k] lxor (1 lsl (j mod 8))));
+      List.for_all decodes_or_fails
+        [
+          String.sub a 0 (i mod (la + 1));
+          Bytes.to_string flipped;
+          String.sub b 0 (j mod (lb + 1)) ^ String.sub a (i mod la) (la - (i mod la));
+          String.sub a 0 (i mod (la + 1)) ^ String.sub b (j mod lb) (lb - (j mod lb));
+        ])
+
+(* Hand-made corruptions the property may miss: an over-long varint, a
+   negative event count and an event outside the universe. *)
+let test_corrupt_headers_and_events () =
+  let path = tmp "hand.trc" in
+  let fails what bytes =
+    Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+    match Trace_io.load ~path with
+    | exception Failure _ -> ()
+    | _ -> Alcotest.failf "%s: expected Failure" what
+  in
+  fails "short magic" "CLT";
+  fails "ten-byte varint" ("CLTR1\n" ^ String.make 9 '\xff' ^ "\x01\x00");
+  fails "zero universe" "CLTR1\n\x00\x00";
+  fails "negative count" ("CLTR1\n\x05" ^ String.make 8 '\xff' ^ "\x7f");
+  (* Universe 5, one event: zigzag 10 decodes to symbol 5. *)
+  fails "event out of range" "CLTR1\n\x05\x01\x0a";
+  Sys.remove path
+
 (* The chunked streaming reader: header decoded eagerly, events handed
    out through a caller buffer whose size need not divide the stream —
    draining through odd-sized chunks must reproduce the eager load. *)
@@ -249,6 +319,9 @@ let () =
           QCheck_alcotest.to_alcotest trace_roundtrip_prop;
           Alcotest.test_case "real workload" `Quick test_trace_io_real_workload;
           Alcotest.test_case "bad magic" `Quick test_bad_magic;
+          QCheck_alcotest.to_alcotest corrupt_trace_prop;
+          Alcotest.test_case "corrupt headers and events" `Quick
+            test_corrupt_headers_and_events;
           Alcotest.test_case "streaming reader chunks" `Quick test_streaming_reader_chunks;
           Alcotest.test_case "fold_chunks" `Quick test_fold_chunks;
           Alcotest.test_case "truncated and closed" `Quick test_reader_truncated_and_closed;

@@ -3,14 +3,15 @@
    to the batch kernels merged per trace
    ([Ingest.batch_digests_parts]) at every walker count, shard count
    and jobs count, regardless of feed granularity (whole traces,
-   odd-sized chunks, or files through the streaming reader). Each trace
+   odd-sized chunks, or trace files, which feed all or nothing). Each trace
    is an independent stream — the LRU stack and trim state reset at
    trace boundaries — so the merged profile is a pure function of the
    trace multiset and the round-robin walker partition cannot change
    it. Bounded-memory mode (caps + decay) is approximate by design but
    must be deterministic given the config (walker count included, pool
    schedule excluded), keep every walker-shard table under its cap at
-   flush boundaries, and actually evict under pressure. The service
+   flush boundaries, actually evict under pressure, and compute the
+   pinned approximation of one fixed config. The service
    driver's spool watcher must ingest files that land after the watch
    starts and exit cleanly on its deadline. *)
 
@@ -58,6 +59,28 @@ let trimmed_len t =
       last := s)
     t;
   !kept
+
+(* Every [Ingest.stats] field, named, in declaration order. *)
+let stats_fields (s : Ingest.stats) =
+  [
+    ("traces", s.traces);
+    ("events", s.events);
+    ("kept_events", s.kept_events);
+    ("trg_ops", s.trg_ops);
+    ("wit_ops", s.wit_ops);
+    ("flushes", s.flushes);
+    ("dispatches", s.dispatches);
+    ("epochs", s.epochs);
+    ("merges", s.merges);
+    ("trg_live", s.trg_live);
+    ("wits_live", s.wits_live);
+    ("trg_peak_shard", s.trg_peak_shard);
+    ("wits_peak_shard", s.wits_peak_shard);
+    ("trg_evicted", s.trg_evicted);
+    ("wits_evicted", s.wits_evicted);
+    ("decay_dropped", s.decay_dropped);
+    ("dead_pruned", s.dead_pruned);
+  ]
 
 (* ---------------------------------------- multi-walker online == batch *)
 
@@ -169,6 +192,49 @@ let test_chunked_and_file_feeds () =
             Alcotest.(pair string string)
             "file-streamed at walkers=2 == whole" whole
             (Ingest.consensus_digests (Ingest.finalize filed))))
+
+(* [feed_file] is all or nothing: a truncated file raises [Failure] with
+   the accumulators untouched, so feeding the complete file afterwards —
+   the spool watcher's retry — gives exactly the complete file alone.
+   The trace spans more than one 65536-event read chunk, so a chunked
+   feed would have walked (walkers = 1) or staged (walkers > 1) part of
+   it before the failure. *)
+let test_feed_file_all_or_nothing () =
+  let num_symbols = 64 in
+  let tr = List.hd (user_traces ~seed:41 ~users:1 ~num_symbols ~len:100_000) in
+  let full = Filename.temp_file "colayout_full" ".trc" in
+  let cut = Filename.temp_file "colayout_cut" ".trc" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ full; cut ])
+    (fun () ->
+      Trace_io.save ~path:full tr;
+      let bytes = In_channel.with_open_bin full In_channel.input_all in
+      Out_channel.with_open_bin cut (fun oc ->
+          output_string oc (String.sub bytes 0 (3 * String.length bytes / 4)));
+      List.iter
+        (fun walkers ->
+          let cfg =
+            Ingest.config ~num_symbols ~walkers ~shards:2 ~trg_window:12 ~affinity_w:6 ()
+          in
+          let alone = Ingest.create cfg in
+          Ingest.feed_file alone ~path:full;
+          let retried = Ingest.create cfg in
+          (match Ingest.feed_file retried ~path:cut with
+          | exception Failure _ -> ()
+          | () -> Alcotest.fail "truncated file fed without an error");
+          Ingest.feed_file retried ~path:full;
+          let label = Printf.sprintf "walkers=%d" walkers in
+          check
+            Alcotest.(pair string string)
+            (label ^ " digests after a failed feed")
+            (Ingest.consensus_digests (Ingest.finalize alone))
+            (Ingest.consensus_digests (Ingest.finalize retried));
+          check
+            Alcotest.(list (pair string int))
+            (label ^ " stats after a failed feed")
+            (stats_fields (Ingest.stats alone))
+            (stats_fields (Ingest.stats retried)))
+        [ 1; 2 ])
 
 (* Dead-witness pruning is exact: epochs with pruning on must not change
    the affine set (digests equal to batch), while actually pruning. *)
@@ -365,6 +431,63 @@ let test_bounded_walker_determinism () =
         (again_s = ref_s))
     [ 1; 2; 4 ]
 
+(* The bounded-mode approximation itself, pinned: caps, decay, pruning
+   and epochs all on, at walkers {1,2} x shards {1,3}. The determinism
+   tests above only compare runs with each other, so a refactor that
+   changed what bounded mode computes (which evictions fire, at which
+   stream points) would pass them; it fails here. *)
+(* Users replay a Zipf-popular choice of fixed four-block phrases, so
+   the blocks of one phrase are affine and the pinned affine set is not
+   empty. *)
+let phrase_traces ~seed ~users ~len =
+  let prng = U.Prng.create ~seed in
+  List.init users (fun _ ->
+      let t = Trace.create ~num_symbols:32 () in
+      for _ = 1 to len do
+        let p = U.Prng.zipf prng ~n:8 ~s:0.9 in
+        for k = 0 to 3 do
+          Trace.push t ((4 * p) + k)
+        done
+      done;
+      t)
+
+let pinned_bounded =
+  (* ((walkers, shards), ((trg_digest, affine_digest), stats in
+     [stats_fields] order)) *)
+  [
+    ( (1, 1),
+      ( ("a0c8a7ce7e6622d05f168033cd0b0be6", "d0a8d2c0cd3b646c137a8e92d1665cf2"),
+        [ 10; 2400; 2400; 8604; 23604; 124; 0; 2; 1; 64; 80; 64; 80; 3233; 12484; 48; 308 ] ) );
+    ( (1, 3),
+      ( ("493e9a75135ee26b946458a23e6fddf5", "28a790ff6bcda1b006d91925c5ebd8ac"),
+        [ 10; 2400; 2400; 8604; 23604; 124; 0; 2; 1; 192; 240; 64; 80; 974; 7839; 21; 574 ] ) );
+    ( (2, 1),
+      ( ("2dbd2ad2c1d25df5abd1e22244cbeec6", "d41d8cd98f00b204e9800998ecf8427e"),
+        [ 10; 2400; 2400; 8604; 23604; 126; 5; 2; 1; 128; 160; 64; 80; 3002; 12035; 92; 561 ] ) );
+    ( (2, 3),
+      ( ("fd31bbae66e5d499d61440c2d6ae30a5", "28a790ff6bcda1b006d91925c5ebd8ac"),
+        [ 10; 2400; 2400; 8604; 23604; 126; 5; 2; 1; 384; 480; 64; 80; 867; 7065; 69; 1058 ] ) );
+  ]
+
+let test_bounded_pinned () =
+  let traces = phrase_traces ~seed:37 ~users:10 ~len:60 in
+  List.iter
+    (fun ((walkers, shards), (digests, fields)) ->
+      let cfg =
+        Ingest.config ~num_symbols:32 ~walkers ~shards ~trg_window:12 ~affinity_w:6 ~trg_cap:64
+          ~wits_cap:80 ~decay_shift:1 ~epoch_traces:4 ~flush_ops:256 ()
+      in
+      let ing = U.Pool.with_pool ~jobs:2 (fun pool -> ingest_all ~pool cfg traces) in
+      let label = Printf.sprintf "walkers=%d shards=%d" walkers shards in
+      check Alcotest.(pair string string) (label ^ " digests") digests
+        (Ingest.consensus_digests (Ingest.finalize ing));
+      check
+        Alcotest.(list (pair string int))
+        (label ^ " stats")
+        (List.map2 (fun (name, _) v -> (name, v)) (stats_fields (Ingest.stats ing)) fields)
+        (stats_fields (Ingest.stats ing)))
+    pinned_bounded
+
 (* Decay arithmetic on a hand-checked example: one epoch of shift-1 decay
    halves (floor) every TRG weight and forgets weight-1 edges. *)
 let test_decay_example () =
@@ -514,6 +637,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_walker_partition;
           Alcotest.test_case "chunked and file feeds equivalent" `Quick
             test_chunked_and_file_feeds;
+          Alcotest.test_case "feed_file all or nothing" `Quick test_feed_file_all_or_nothing;
           Alcotest.test_case "dead-witness pruning exact" `Quick test_prune_exactness;
           Alcotest.test_case "per-trace trimming" `Quick test_per_trace_trimming;
           Alcotest.test_case "walker stats sum + schedule-invariance" `Quick
@@ -527,6 +651,7 @@ let () =
             test_bounded_caps_and_determinism;
           Alcotest.test_case "per-walker-count determinism" `Quick
             test_bounded_walker_determinism;
+          Alcotest.test_case "approximation pinned" `Quick test_bounded_pinned;
           Alcotest.test_case "decay example" `Quick test_decay_example;
         ] );
       ( "service",
