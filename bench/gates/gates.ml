@@ -115,6 +115,8 @@ let kernel_pairs =
   [
     ("trg-build", "trg-build/packed-csr", "trg-build/tuple-hashtbl-baseline");
     ("affine-pairs", "affine-pairs/packed", "affine-pairs/tuple-hashtbl-baseline");
+    ("affinity-hierarchy", "affinity-hierarchy/one-walk", "affinity-hierarchy/per-window-baseline");
+    ("trg-reduce", "trg-reduce/csr-heap", "trg-reduce/seed-baseline");
   ]
 
 let kernels j =

@@ -111,9 +111,11 @@ let time_ns ~budget f =
   go 1
 
 (* BENCH_kernels.json: the packed-int/CSR analysis kernels (Trg.build,
-   Affinity.affine_pairs, Trg_reduce.reduce) against the seed
-   tuple-Hashtbl baselines (Kernel_baseline) on the same trace, plus the
-   TRG resident-memory comparison. *)
+   Affinity.affine_pairs) against the seed tuple-Hashtbl baselines, and the
+   optimizer kernels (the one-walk Affinity_hierarchy.build at the
+   optimizer's windows, Trg_reduce.reduce) against their seed versions
+   (all in Kernel_baseline), on the same trace, plus the TRG
+   resident-memory comparison. *)
 let kernels ~quick =
   let t0 = U.Metrics.default_clock () in
   let num_symbols = if quick then 1024 else 4096 in
@@ -141,13 +143,28 @@ let kernels ~quick =
     bench "affine-pairs/tuple-hashtbl-baseline" (fun () ->
         ignore (Kernel_baseline.affine_pairs trace ~w))
   in
+  let ws = Optimizer.default_config.Optimizer.ws in
+  let hier_one =
+    bench "affinity-hierarchy/one-walk" (fun () -> ignore (Affinity_hierarchy.build ~ws trace))
+  in
+  let hier_legacy =
+    bench "affinity-hierarchy/per-window-baseline" (fun () ->
+        ignore (Kernel_baseline.affinity_hierarchy ~ws trace))
+  in
   let trg = Trg.build ~window:w trace in
   let reduce = bench "trg-reduce/csr-heap" (fun () -> ignore (Trg_reduce.reduce trg ~slots)) in
-  let kernels = [ trg_packed; trg_legacy; aff_packed; aff_legacy; reduce ] in
+  let reduce_legacy =
+    bench "trg-reduce/seed-baseline" (fun () -> ignore (Kernel_baseline.trg_reduce trg ~slots))
+  in
+  let kernels =
+    [ trg_packed; trg_legacy; aff_packed; aff_legacy; hier_one; hier_legacy; reduce; reduce_legacy ]
+  in
   let speedups =
     [
       ("trg-build", snd trg_legacy /. snd trg_packed);
       ("affine-pairs", snd aff_legacy /. snd aff_packed);
+      ("affinity-hierarchy", snd hier_legacy /. snd hier_one);
+      ("trg-reduce", snd reduce_legacy /. snd reduce);
     ]
   in
   List.iter (fun (n, s) -> Printf.printf "  speedup %-32s %12.2fx\n%!" n s) speedups;

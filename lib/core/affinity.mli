@@ -7,11 +7,13 @@
       [x] has some occurrence of [y] with [fp <= w], and vice versa
       (Definition 3).
 
-    Two implementations:
+    Three implementations:
     - {!affine_pairs} — the efficient single-pass stack algorithm the paper
       contributes: one LRU-stack simulation per [w]; at each access the
       blocks within the top of the stack witness co-occurrence, and a pair is
       affine iff every occurrence of both sides was witnessed. O(N·w) time.
+    - {!pair_levels} — the same algorithm for a whole window list in one
+      walk at the largest window, bucketing each witness by footprint.
     - {!affine_pairs_naive} — direct evaluation of Definition 3 by scanning,
       used as the test oracle.
 
@@ -52,6 +54,34 @@ val saturated : occ:int array -> int -> int -> sat_ab:int -> sat_ba:int -> bool
 (** [saturated ~occ a b ~sat_ab ~sat_ba]: both blocks occur and every
     occurrence of each is witnessed by the other — the affine-pair test,
     given occurrence totals [occ] and the two directed saturations. *)
+
+(** {2 All windows in one walk}
+
+    The distance-bucketed form of {!affine_pairs}: one stack walk at the
+    largest window records, per directed pair, the smallest footprint
+    bucket at which each occurrence is witnessed, so a single pass answers
+    "affine at [w]?" for every [w] of a window list. *)
+
+type levels
+
+val max_windows : int
+(** [2^15]: the longest window list {!pair_levels} accepts (bucket
+    indices are packed in 15 bits). *)
+
+val pair_levels : Colayout_trace.Trace.t -> ws:int list -> levels
+(** [pair_levels t ~ws] walks [t] once at the last (largest) window of
+    [ws]. Exact against the per-window kernel: for every index [i], the
+    pairs {!iter_levels} reports at level [<= i] are precisely
+    [affine_pairs t ~w:(List.nth ws i)].
+    @raise Invalid_argument if [ws] is empty, not positive and strictly
+    ascending or longer than {!max_windows}, or the trace is not
+    trimmed. *)
+
+val iter_levels : (int -> int -> int -> unit) -> levels -> unit
+(** [iter_levels f ls] applies [f x y i] to every pair affine at some
+    window of [ws], once, with [x < y] and [i] the smallest index into
+    [ws] at which they are affine (so they are affine at [List.nth ws j]
+    iff [i <= j]); unspecified order. *)
 
 val affine_pairs_naive : Colayout_trace.Trace.t -> w:int -> pair_set
 (** Quadratic-and-worse oracle; small traces only. *)

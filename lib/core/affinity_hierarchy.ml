@@ -26,82 +26,171 @@ let check_ws ws =
   if ws = [] || not (ok ws) then
     invalid_arg "Affinity_hierarchy: ws must be positive and strictly ascending"
 
-(* A working group: the dendrogram node plus its member list and the first
-   trace position of any member (for deterministic ordering). *)
+(* Every affine pair with its level (the smallest index into [ws] at which
+   it is affine), as a symmetric CSR adjacency: row [a] lists [a]'s
+   partners [nbr] with their levels [lvl]. Affinity is monotone in [w]
+   (a footprint <= w is <= every larger window), so "affine at ws.(i)"
+   is "level <= i" for both algorithms. *)
+type adjacency = {
+  row : int array;
+  nbr : int array;
+  lvl : int array;
+}
+
+let adjacency_of ~n iter =
+  let row = Array.make (n + 1) 0 in
+  iter (fun x y _ ->
+      row.(x + 1) <- row.(x + 1) + 1;
+      row.(y + 1) <- row.(y + 1) + 1);
+  for a = 1 to n do
+    row.(a) <- row.(a) + row.(a - 1)
+  done;
+  let fill = Array.sub row 0 n in
+  let nbr = Array.make row.(n) 0 and lvl = Array.make row.(n) 0 in
+  let add a b l =
+    nbr.(fill.(a)) <- b;
+    lvl.(fill.(a)) <- l;
+    fill.(a) <- fill.(a) + 1
+  in
+  iter (fun x y l ->
+      add x y l;
+      add y x l);
+  { row; nbr; lvl }
+
+(* [Exact]: Definition 3 per window; a pair's level is the first window
+   whose naive pair set holds it. Returns the iterator [adjacency_of]
+   takes. *)
+let exact_levels trace ws =
+  let module P = Colayout_util.Int_pair_tbl in
+  let lv = P.create () in
+  List.iteri
+    (fun i w ->
+      List.iter
+        (fun (x, y) -> if not (P.mem lv (P.pack x y)) then P.replace lv (P.pack x y) i)
+        (Affinity.pair_list (Affinity.affine_pairs_naive trace ~w)))
+    ws;
+  fun f -> P.iter (fun k l -> f (P.fst_of k) (P.snd_of k) l) lv
+
+(* A working group: the dendrogram node, its members in order and the
+   first trace position of any member (for deterministic ordering). *)
 type work = {
   node : node;
-  mems : int list;
+  mems : int array;
   first_pos : int;
 }
 
-let merge_level ?decisions ?(stage = "affinity") ~w ~affine groups =
-  (* Greedy agglomeration: in first-occurrence order, each group joins the
-     first accumulated cluster with which every cross pair is affine. *)
-  let clusters : (work list ref) list ref = ref [] in
-  List.iter
+(* Scratch shared by the levels: [cluster_of] maps a block to its cluster
+   at the level being merged (-1 while unplaced); [hits] counts, per
+   cluster, the affine cross pairs found for the group being placed. *)
+type scratch = {
+  cluster_of : int array;
+  hits : int array;
+  touched : Colayout_util.Int_vec.t;
+}
+
+(* Greedy agglomeration at window index [i]: in order, each group joins the
+   first accumulated cluster with which every cross pair is affine, else
+   opens a new one. A group [g] is compatible with cluster [c] iff the
+   affine pairs between them number [|g| * |c|], so one pass over the
+   members' affine partners finds every compatible cluster at once. *)
+let merge_level ?decisions ~w ~i adj sc groups =
+  let module V = Colayout_util.Int_vec in
+  let ng = Array.length groups in
+  let size = Array.make ng 0 (* members per cluster *) in
+  let parts = Array.make ng [] (* groups per cluster, newest first *) in
+  let count = Array.make ng 0 (* groups per cluster *) in
+  let head = Array.make ng 0 (* the cluster's first member *) in
+  let nc = ref 0 in
+  Array.iter
     (fun g ->
-      let compatible cluster =
-        List.for_all
-          (fun (g' : work) ->
-            List.for_all (fun a -> List.for_all (fun b -> affine a b) g'.mems) g.mems)
-          !cluster
+      V.clear sc.touched;
+      Array.iter
+        (fun a ->
+          for j = adj.row.(a) to adj.row.(a + 1) - 1 do
+            if adj.lvl.(j) <= i then begin
+              let k = sc.cluster_of.(adj.nbr.(j)) in
+              if k >= 0 then begin
+                if sc.hits.(k) = 0 then V.push sc.touched k;
+                sc.hits.(k) <- sc.hits.(k) + 1
+              end
+            end
+          done)
+        g.mems;
+      let need = Array.length g.mems in
+      let best = ref max_int in
+      V.iter
+        (fun k ->
+          if k < !best && sc.hits.(k) = need * size.(k) then best := k;
+          sc.hits.(k) <- 0)
+        sc.touched;
+      let k =
+        if !best < max_int then begin
+          let k = !best in
+          Decision_trace.emit decisions ~stage:"affinity" ~action:"join" ~x:g.mems.(0)
+            ~y:head.(k) ~weight:w ~group:k ~size:(count.(k) + 1) ();
+          k
+        end
+        else begin
+          head.(!nc) <- g.mems.(0);
+          incr nc;
+          !nc - 1
+        end
       in
-      let rec place k = function
-        | [] -> clusters := !clusters @ [ ref [ g ] ]
-        | c :: rest ->
-          if compatible c then begin
-            (match !c with
-            | first :: _ ->
-              Decision_trace.emit decisions ~stage ~action:"join"
-                ~x:(List.hd g.mems) ~y:(List.hd first.mems) ~weight:w ~group:k
-                ~size:(List.length !c + 1) ()
-            | [] -> ());
-            c := !c @ [ g ]
-          end
-          else place (k + 1) rest
-      in
-      place 0 !clusters)
+      size.(k) <- size.(k) + need;
+      parts.(k) <- g :: parts.(k);
+      count.(k) <- count.(k) + 1;
+      Array.iter (fun a -> sc.cluster_of.(a) <- k) g.mems)
     groups;
-  List.map
-    (fun c ->
-      match !c with
-      | [] -> assert false
+  Array.iter (fun g -> Array.iter (fun a -> sc.cluster_of.(a) <- -1) g.mems) groups;
+  Array.init !nc (fun k ->
+      match List.rev parts.(k) with
       | [ g ] -> g
       | gs ->
         {
           node = Group { w; children = List.map (fun g -> g.node) gs };
-          mems = List.concat_map (fun g -> g.mems) gs;
+          mems = Array.concat (List.map (fun g -> g.mems) gs);
           first_pos = List.fold_left (fun acc g -> min acc g.first_pos) max_int gs;
         })
-    !clusters
 
 let build ?decisions ?(algo = Efficient) ?(ws = default_ws) trace =
   check_ws ws;
   if not (Trim.is_trimmed trace) then
     invalid_arg "Affinity_hierarchy.build: trace must be trimmed";
+  let n = Trace.num_symbols trace in
+  let adj =
+    match algo with
+    | Efficient ->
+      let ls = Affinity.pair_levels trace ~ws in
+      adjacency_of ~n (fun f -> Affinity.iter_levels f ls)
+    | Exact -> adjacency_of ~n (exact_levels trace ws)
+  in
   let first = Trace.first_occurrence trace in
   let present =
-    List.init (Trace.num_symbols trace) Fun.id
+    List.init n Fun.id
     |> List.filter (fun s -> first.(s) >= 0)
     |> List.sort (fun a b -> compare first.(a) first.(b))
   in
   let groups =
-    ref (List.map (fun b -> { node = Leaf b; mems = [ b ]; first_pos = first.(b) }) present)
+    ref
+      (Array.of_list
+         (List.map (fun b -> { node = Leaf b; mems = [| b |]; first_pos = first.(b) }) present))
   in
-  List.iter
-    (fun w ->
-      if List.length !groups > 1 then begin
-        let ps =
-          match algo with
-          | Efficient -> Affinity.affine_pairs trace ~w
-          | Exact -> Affinity.affine_pairs_naive trace ~w
-        in
-        groups := merge_level ?decisions ~w ~affine:(Affinity.is_affine ps) !groups;
+  let sc =
+    {
+      cluster_of = Array.make n (-1);
+      hits = Array.make (Array.length !groups) 0;
+      touched = Colayout_util.Int_vec.create ();
+    }
+  in
+  List.iteri
+    (fun i w ->
+      if Array.length !groups > 1 then begin
+        groups := merge_level ?decisions ~w ~i adj sc !groups;
         Decision_trace.emit decisions ~stage:"affinity" ~action:"level" ~weight:w
-          ~size:(List.length !groups) ()
+          ~size:(Array.length !groups) ()
       end)
     ws;
-  let roots = List.sort (fun a b -> compare a.first_pos b.first_pos) !groups in
+  let roots = List.sort (fun a b -> compare a.first_pos b.first_pos) (Array.to_list !groups) in
   { roots = List.map (fun g -> g.node) roots; ws }
 
 let order t = List.concat_map members t.roots

@@ -137,6 +137,264 @@ let affine_pairs trace ~w =
     wits;
   List.sort compare !pairs
 
+(* ------------------------------------------- Affinity hierarchy (seed) *)
+
+(* The per-window [Affinity_hierarchy.build], verbatim: one
+   [Affinity.affine_pairs] walk per window, then a list-based greedy
+   [merge_level] whose compatibility test scans every cross member pair. *)
+
+type work = {
+  node : Affinity_hierarchy.node;
+  mems : int list;
+  first_pos : int;
+}
+
+let merge_level ?decisions ?(stage = "affinity") ~w ~affine groups =
+  let clusters : (work list ref) list ref = ref [] in
+  List.iter
+    (fun g ->
+      let compatible cluster =
+        List.for_all
+          (fun (g' : work) ->
+            List.for_all (fun a -> List.for_all (fun b -> affine a b) g'.mems) g.mems)
+          !cluster
+      in
+      let rec place k = function
+        | [] -> clusters := !clusters @ [ ref [ g ] ]
+        | c :: rest ->
+          if compatible c then begin
+            (match !c with
+            | first :: _ ->
+              Decision_trace.emit decisions ~stage ~action:"join"
+                ~x:(List.hd g.mems) ~y:(List.hd first.mems) ~weight:w ~group:k
+                ~size:(List.length !c + 1) ()
+            | [] -> ());
+            c := !c @ [ g ]
+          end
+          else place (k + 1) rest
+      in
+      place 0 !clusters)
+    groups;
+  List.map
+    (fun c ->
+      match !c with
+      | [] -> assert false
+      | [ g ] -> g
+      | gs ->
+        {
+          node = Affinity_hierarchy.Group { w; children = List.map (fun g -> g.node) gs };
+          mems = List.concat_map (fun g -> g.mems) gs;
+          first_pos = List.fold_left (fun acc g -> min acc g.first_pos) max_int gs;
+        })
+    !clusters
+
+let affinity_hierarchy ?decisions ?(algo = Affinity_hierarchy.Efficient)
+    ?(ws = Affinity_hierarchy.default_ws) trace =
+  let rec ascending = function
+    | [] -> true
+    | [ w ] -> w >= 1
+    | w1 :: (w2 :: _ as rest) -> w1 >= 1 && w1 < w2 && ascending rest
+  in
+  if ws = [] || not (ascending ws) then
+    invalid_arg "Affinity_hierarchy: ws must be positive and strictly ascending";
+  if not (Trim.is_trimmed trace) then
+    invalid_arg "Affinity_hierarchy.build: trace must be trimmed";
+  let first = Trace.first_occurrence trace in
+  let present =
+    List.init (Trace.num_symbols trace) Fun.id
+    |> List.filter (fun s -> first.(s) >= 0)
+    |> List.sort (fun a b -> compare first.(a) first.(b))
+  in
+  let groups =
+    ref
+      (List.map
+         (fun b -> { node = Affinity_hierarchy.Leaf b; mems = [ b ]; first_pos = first.(b) })
+         present)
+  in
+  List.iter
+    (fun w ->
+      if List.length !groups > 1 then begin
+        let ps =
+          match algo with
+          | Affinity_hierarchy.Efficient -> Affinity.affine_pairs trace ~w
+          | Exact -> Affinity.affine_pairs_naive trace ~w
+        in
+        groups := merge_level ?decisions ~w ~affine:(Affinity.is_affine ps) !groups;
+        Decision_trace.emit decisions ~stage:"affinity" ~action:"level" ~weight:w
+          ~size:(List.length !groups) ()
+      end)
+    ws;
+  let roots = List.sort (fun a b -> compare a.first_pos b.first_pos) !groups in
+  { Affinity_hierarchy.roots = List.map (fun g -> g.node) roots; ws }
+
+(* ------------------------------------------------------ TRG reduce (seed) *)
+
+(* The seed [Trg_reduce.reduce], verbatim, on a private copy of the seed
+   polymorphic binary heap: per-node [Hashtbl] adjacency, boxed
+   [(w, x, y)] heap entries under polymorphic [compare], [List.nth]
+   round-robin output. *)
+module Seed_heap = struct
+  type 'a t = {
+    cmp : 'a -> 'a -> int;
+    data : 'a Colayout_util.Vec.t;
+  }
+
+  module Vec = Colayout_util.Vec
+
+  let create ~cmp () = { cmp; data = Vec.create () }
+
+  let is_empty t = Vec.length t.data = 0
+
+  let swap t i j =
+    let tmp = Vec.get t.data i in
+    Vec.set t.data i (Vec.get t.data j);
+    Vec.set t.data j tmp
+
+  let rec sift_up t i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if t.cmp (Vec.get t.data i) (Vec.get t.data parent) > 0 then begin
+        swap t i parent;
+        sift_up t parent
+      end
+    end
+
+  let rec sift_down t i =
+    let n = Vec.length t.data in
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let largest = ref i in
+    if l < n && t.cmp (Vec.get t.data l) (Vec.get t.data !largest) > 0 then largest := l;
+    if r < n && t.cmp (Vec.get t.data r) (Vec.get t.data !largest) > 0 then largest := r;
+    if !largest <> i then begin
+      swap t i !largest;
+      sift_down t !largest
+    end
+
+  let push t x =
+    Vec.push t.data x;
+    sift_up t (Vec.length t.data - 1)
+
+  let pop t =
+    if is_empty t then None
+    else begin
+      let top = Vec.get t.data 0 in
+      let n = Vec.length t.data in
+      Vec.set t.data 0 (Vec.get t.data (n - 1));
+      ignore (Vec.pop t.data);
+      if not (is_empty t) then sift_down t 0;
+      Some top
+    end
+end
+
+let edge_cmp (w1, x1, y1) (w2, x2, y2) =
+  if w1 <> w2 then compare w1 w2 else compare (x2, y2) (x1, y1)
+
+let trg_reduce ?decisions trg ~slots =
+  let module Vec = Colayout_util.Vec in
+  if slots < 1 then invalid_arg "Trg_reduce.reduce: slots must be >= 1";
+  let n = Trg.num_nodes trg in
+  let adj = Array.init n (fun _ -> Hashtbl.create 8) in
+  let set_w x y w =
+    Hashtbl.replace adj.(x) y w;
+    Hashtbl.replace adj.(y) x w
+  in
+  let del_edge x y =
+    Hashtbl.remove adj.(x) y;
+    Hashtbl.remove adj.(y) x
+  in
+  let cur_w x y = Option.value ~default:0 (Hashtbl.find_opt adj.(x) y) in
+  let heap = Seed_heap.create ~cmp:edge_cmp () in
+  Trg.finalize trg;
+  Trg.iter_edges
+    (fun x y w ->
+      set_w x y w;
+      Seed_heap.push heap (w, x, y))
+    trg;
+  let slot_of = Array.make n (-1) in
+  let rep_of_slot = Array.make slots (-1) in
+  let slot_vecs = Array.init slots (fun _ -> Vec.create ()) in
+  let is_rep v = slot_of.(v) >= 0 && rep_of_slot.(slot_of.(v)) = v in
+  let placed v = slot_of.(v) >= 0 in
+  let drop_cross_slot_edges v =
+    let to_remove =
+      Hashtbl.fold
+        (fun nb _ acc -> if is_rep nb && slot_of.(nb) <> slot_of.(v) then nb :: acc else acc)
+        adj.(v) []
+    in
+    List.iter (fun nb -> del_edge v nb) to_remove
+  in
+  let choose_slot v =
+    let rec scan k best best_w =
+      if k >= slots then best
+      else if rep_of_slot.(k) < 0 then k
+      else begin
+        let w = cur_w v rep_of_slot.(k) in
+        if w < best_w then scan (k + 1) k w else scan (k + 1) best best_w
+      end
+    in
+    scan 0 (-1) max_int
+  in
+  let place ~w v =
+    let k = choose_slot v in
+    Vec.push slot_vecs.(k) v;
+    slot_of.(v) <- k;
+    if rep_of_slot.(k) < 0 then begin
+      rep_of_slot.(k) <- v;
+      Decision_trace.emit decisions ~stage:"trg-reduce" ~action:"place" ~x:v ~weight:w ~group:k
+        ~size:(Vec.length slot_vecs.(k)) ();
+      drop_cross_slot_edges v
+    end
+    else begin
+      let r = rep_of_slot.(k) in
+      Decision_trace.emit decisions ~stage:"trg-reduce" ~action:"merge" ~x:v ~y:r ~weight:w
+        ~group:k ~size:(Vec.length slot_vecs.(k)) ();
+      let neighbours = Hashtbl.fold (fun nb w acc -> (nb, w) :: acc) adj.(v) [] in
+      List.iter
+        (fun (nb, w) ->
+          del_edge v nb;
+          if nb <> r then begin
+            let w' = cur_w r nb + w in
+            set_w r nb w';
+            if not (placed nb) || is_rep nb then
+              Seed_heap.push heap (w', min r nb, max r nb)
+          end)
+        neighbours;
+      drop_cross_slot_edges r
+    end
+  in
+  let rec drain () =
+    match Seed_heap.pop heap with
+    | None -> ()
+    | Some (w, x, y) ->
+      let stale =
+        cur_w x y <> w
+        || (placed x && not (is_rep x))
+        || (placed y && not (is_rep y))
+        || (is_rep x && is_rep y)
+      in
+      if not stale then begin
+        if not (placed x) then place ~w x;
+        if not (placed y) then place ~w y
+      end;
+      drain ()
+  in
+  drain ();
+  let slot_lists = Array.map Vec.to_list slot_vecs in
+  let order = ref [] in
+  let idx = Array.make slots 0 in
+  let remaining = ref (Array.fold_left (fun acc v -> acc + List.length v) 0 slot_lists) in
+  while !remaining > 0 do
+    for k = 0 to slots - 1 do
+      let l = slot_lists.(k) in
+      if idx.(k) < List.length l then begin
+        order := List.nth l idx.(k) :: !order;
+        idx.(k) <- idx.(k) + 1;
+        decr remaining
+      end
+    done
+  done;
+  { Trg_reduce.order = List.rev !order; slot_lists }
+
 (* ------------------------------------------------------------------ *)
 (* The seed layout evaluator and annealer, kept verbatim as the
    differential oracle / honest bench baseline for [Layout_eval] (PR 5),

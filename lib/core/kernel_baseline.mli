@@ -1,5 +1,5 @@
-(** The seed tuple-[Hashtbl] analysis kernels, layout evaluator and LRU
-    cache simulator, kept verbatim.
+(** The seed tuple-[Hashtbl] analysis kernels, optimizer kernels, layout
+    evaluator and LRU cache simulator, kept verbatim.
 
     {!Trg.build} and {!Affinity.affine_pairs} now run on flat packed-int
     tables ([Int_pair_tbl]) with CSR finalization, per-candidate layout
@@ -35,6 +35,27 @@ val affine_pairs : Colayout_trace.Trace.t -> w:int -> (int * int) list
 (** The seed [Affinity.affine_pairs] with tuple-keyed witness records,
     returning the sorted [(x, y)], [x < y] pair list — directly comparable
     to [Affinity.pair_list (Affinity.affine_pairs ...)]. *)
+
+(** {2 Seed optimizer kernels (the {!Affinity_hierarchy} and {!Trg_reduce}
+    oracles)} *)
+
+val affinity_hierarchy :
+  ?decisions:Decision_trace.t ->
+  ?algo:Affinity_hierarchy.algo ->
+  ?ws:int list ->
+  Colayout_trace.Trace.t ->
+  Affinity_hierarchy.t
+(** The per-window [Affinity_hierarchy.build], verbatim: one
+    [Affinity.affine_pairs] (or, with [Exact], [affine_pairs_naive]) walk
+    per window and a list-append [merge_level] that scans every cross
+    member pair. {!Affinity_hierarchy.build}'s one-walk path must give the
+    same dendrogram, order and decision events. *)
+
+val trg_reduce : ?decisions:Decision_trace.t -> Trg.t -> slots:int -> Trg_reduce.result
+(** The seed [Trg_reduce.reduce], verbatim: per-node [Hashtbl] adjacency,
+    boxed [(w, x, y)] entries on a private copy of the seed polymorphic
+    heap, [List.nth] round-robin output. {!Trg_reduce.reduce} must give the
+    same order, slot lists and decision events. *)
 
 (** {2 Seed layout evaluator (the {!Layout_eval} oracle)}
 

@@ -15,7 +15,6 @@ type csr = {
   src : int array; (* length E: the smaller endpoint of each edge *)
   nbr : int array; (* length E: the larger endpoint, ascending within a row *)
   wt : int array; (* length E *)
-  mutable by_weight : int array option; (* edge indices, heaviest first; lazy *)
 }
 
 type repr =
@@ -80,7 +79,7 @@ let finalize t =
     for x = 1 to t.num_nodes do
       row_ptr.(x) <- row_ptr.(x) + row_ptr.(x - 1)
     done;
-    t.repr <- Csr { row_ptr; src; nbr; wt; by_weight = None }
+    t.repr <- Csr { row_ptr; src; nbr; wt }
 
 let weight t x y =
   if x = y then 0
@@ -113,18 +112,15 @@ let iter_edges f t =
     f c.src.(j) c.nbr.(j) c.wt.(j)
   done
 
+(* Edge indices, heaviest first, then the canonical (src, nbr) order —
+   which is the ascending CSR index, so a stable sort by weight alone keeps
+   ties in index order. Computed per call, not cached: it would add a word
+   per edge to the graph for good. *)
 let sorted_edge_index c =
-  match c.by_weight with
-  | Some idx -> idx
-  | None ->
-    let idx = Array.init (Array.length c.nbr) Fun.id in
-    (* Heaviest first, then the canonical (src, nbr) order — which is the
-       ascending CSR index, so ties compare by index. *)
-    Array.sort
-      (fun a b -> if c.wt.(a) <> c.wt.(b) then compare c.wt.(b) c.wt.(a) else compare a b)
-      idx;
-    c.by_weight <- Some idx;
-    idx
+  let idx = Array.init (Array.length c.nbr) Fun.id in
+  let wt = c.wt in
+  Array.stable_sort (fun a b -> compare (wt.(b) : int) wt.(a)) idx;
+  idx
 
 let iter_edges_by_weight f t =
   let c = csr_of t in

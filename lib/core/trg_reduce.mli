@@ -12,7 +12,18 @@
     apart — exactly the placement the conflict weights argue against.
 
     The paper's worked example (Figure 2, 3 slots) is reproduced: reduction
-    order A-B, E-F, then C, giving the sequence [A B E F C]. *)
+    order A-B, E-F, then C, giving the sequence [A B E F C].
+
+    Implementation: weights live in one packed-key table ([Int_pair_tbl])
+    and each unplaced node keeps a flat neighbour list. The TRG's edges are
+    consumed pre-sorted from its CSR; edges created by merges go into a
+    flat int heap ([Int_pair_heap]) keyed [(-w, pack x y)], so the pop
+    order — heavier first, then smaller [(x, y)] — is the seed's without
+    boxed tuples or polymorphic compare. Since no edge may join two
+    slots' merged nodes, a merge only has to look at the merged node's own
+    neighbours, and the drain stops once every node with an edge is
+    placed (everything left is stale). The seed implementation stays in
+    [Kernel_baseline.trg_reduce] as the differential oracle. *)
 
 type result = {
   order : int list;

@@ -76,6 +76,19 @@ let iter_top t ~k f =
   in
   loop (Dlist.front t.list) 0
 
+(* A top-level loop over explicit arguments: filling builds no closure. *)
+let rec fill_top v k n i =
+  if i < k then
+    match n with
+    | None -> ()
+    | Some x ->
+      Int_vec.push v (Dlist.value x);
+      fill_top v k (Dlist.next x) (i + 1)
+
+let top_into t ~k v =
+  Int_vec.clear v;
+  fill_top v k (Dlist.front t.list) 0
+
 let top_k t ~k =
   let acc = ref [] in
   iter_top t ~k (fun s -> acc := s :: !acc);

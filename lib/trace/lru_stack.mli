@@ -42,6 +42,12 @@ val top_k : t -> k:int -> int list
 val iter_top : t -> k:int -> (int -> unit) -> unit
 (** Like {!top_k} without the intermediate list. *)
 
+val top_into : t -> k:int -> Colayout_util.Int_vec.t -> unit
+(** [top_into t ~k v] refills [v] with the [k] most recent distinct blocks,
+    most recent first (fewer when the stack is shallower). Unlike the
+    callback walks it allocates nothing once [v] has the capacity, which is
+    why the per-event kernel walks use it. *)
+
 val iter_until : t -> (int -> bool) -> unit
 (** Visit blocks from most recent; stop when the callback returns false. *)
 

@@ -42,15 +42,13 @@ let hash k =
   let h = h * 0x2545F4914F6CDD1D in
   h lxor (h lsr 29)
 
-(* Slot holding [key], or -1 when absent. *)
-let find_slot t key =
-  let mask = t.mask in
-  let keys = t.keys in
-  let rec probe i =
-    let k = Array.unsafe_get keys i in
-    if k = key then i else if k = empty then -1 else probe ((i + 1) land mask)
-  in
-  probe (hash key land mask)
+(* Slot holding [key], or -1 when absent. A top-level loop, like the
+   update probes below, so a lookup builds no closure. *)
+let rec find_probe keys mask key i =
+  let k = Array.unsafe_get keys i in
+  if k = key then i else if k = empty then -1 else find_probe keys mask key ((i + 1) land mask)
+
+let find_slot t key = find_probe t.keys t.mask key (hash key land t.mask)
 
 let check_key key = if key < 0 then invalid_arg "Int_pair_tbl: negative key"
 
@@ -98,37 +96,50 @@ let maybe_grow t =
   let cap = t.mask + 1 in
   if t.used + 1 > cap - (cap / 4) then resize t
 
-(* Probe for [key]; on a hit set the slot to [merge old], on a miss insert
-   [if_absent] (reusing the first tombstone seen). Returns the stored value.
-   This single probe sequence backs both [replace] and [add_to]. *)
-let upsert t key ~if_absent ~merge =
+(* [replace] and [add_to] each run their own probe loop: top-level
+   recursive functions that take every value they use as an argument, so
+   no closure is built per call (without flambda a local [probe] capturing
+   [key] and a [~merge] function allocate on every bump). On a miss the key
+   goes into the first tombstone seen, else into the empty slot that ended
+   the probe, which is then counted in [used]. *)
+let claim t slot i key v =
+  Array.unsafe_set t.keys slot key;
+  Array.unsafe_set t.vals slot v;
+  t.len <- t.len + 1;
+  if slot = i then t.used <- t.used + 1
+
+let rec replace_probe t keys mask key v i first_tomb =
+  let k = Array.unsafe_get keys i in
+  if k = key then Array.unsafe_set t.vals i v
+  else if k = empty then claim t (if first_tomb >= 0 then first_tomb else i) i key v
+  else
+    replace_probe t keys mask key v ((i + 1) land mask)
+      (if k = tomb && first_tomb < 0 then i else first_tomb)
+
+let rec add_probe t keys mask key delta i first_tomb =
+  let k = Array.unsafe_get keys i in
+  if k = key then begin
+    let v = Array.unsafe_get t.vals i + delta in
+    Array.unsafe_set t.vals i v;
+    v
+  end
+  else if k = empty then begin
+    claim t (if first_tomb >= 0 then first_tomb else i) i key delta;
+    delta
+  end
+  else
+    add_probe t keys mask key delta ((i + 1) land mask)
+      (if k = tomb && first_tomb < 0 then i else first_tomb)
+
+let replace t key v =
   check_key key;
   maybe_grow t;
-  let mask = t.mask in
-  let keys = t.keys in
-  let rec probe i first_tomb =
-    let k = Array.unsafe_get keys i in
-    if k = key then begin
-      let v = merge (Array.unsafe_get t.vals i) in
-      Array.unsafe_set t.vals i v;
-      v
-    end
-    else if k = empty then begin
-      let slot = if first_tomb >= 0 then first_tomb else i in
-      Array.unsafe_set keys slot key;
-      Array.unsafe_set t.vals slot if_absent;
-      t.len <- t.len + 1;
-      if slot = i then t.used <- t.used + 1;
-      if_absent
-    end
-    else if k = tomb && first_tomb < 0 then probe ((i + 1) land mask) i
-    else probe ((i + 1) land mask) first_tomb
-  in
-  probe (hash key land mask) (-1)
+  replace_probe t t.keys t.mask key v (hash key land t.mask) (-1)
 
-let replace t key v = ignore (upsert t key ~if_absent:v ~merge:(fun _ -> v))
-
-let add_to t key delta = upsert t key ~if_absent:delta ~merge:(fun old -> old + delta)
+let add_to t key delta =
+  check_key key;
+  maybe_grow t;
+  add_probe t t.keys t.mask key delta (hash key land t.mask) (-1)
 
 let remove t key =
   if key >= 0 then begin

@@ -45,12 +45,14 @@ val find : t -> int -> default:int -> int
 val find_opt : t -> int -> int option
 
 val replace : t -> int -> int -> unit
-(** Insert or overwrite. @raise Invalid_argument on a negative key. *)
+(** Insert or overwrite. Allocates only when it grows the table.
+    @raise Invalid_argument on a negative key. *)
 
 val add_to : t -> int -> int -> int
 (** [add_to t key delta] adds [delta] to the binding of [key] (treating an
     absent key as bound to [0]), stores the sum and returns it. One probe
-    sequence for the read-modify-write. *)
+    sequence for the read-modify-write; allocates only when it grows the
+    table. *)
 
 val remove : t -> int -> unit
 (** No-op when absent. Leaves a tombstone; slots are reclaimed on the next

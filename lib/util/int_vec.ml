@@ -46,6 +46,10 @@ let last v = if v.len = 0 then None else Some v.data.(v.len - 1)
 
 let clear v = v.len <- 0
 
+let truncate v n =
+  if n < 0 || n > v.len then invalid_arg "Int_vec.truncate";
+  v.len <- n
+
 let iter f v =
   for i = 0 to v.len - 1 do
     f (Array.unsafe_get v.data i)

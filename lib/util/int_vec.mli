@@ -25,6 +25,10 @@ val last : t -> int option
 
 val clear : t -> unit
 
+val truncate : t -> int -> unit
+(** [truncate v n] keeps the first [n] elements.
+    @raise Invalid_argument unless [0 <= n <= length v]. *)
+
 val iter : (int -> unit) -> t -> unit
 
 val iteri : (int -> int -> unit) -> t -> unit

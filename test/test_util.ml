@@ -218,21 +218,35 @@ let ostree_random_prop =
 (* ----------------------------------------------------------------- Heap *)
 
 let heap_sort_prop =
-  QCheck.Test.make ~name:"heap pops in descending order" ~count:200
-    QCheck.(list int)
+  QCheck.Test.make ~name:"pops in ascending order" ~count:200
+    QCheck.(list (pair (int_range (-4) 4) int))
     (fun xs ->
-      let h = Heap.of_list ~cmp:compare xs in
-      Heap.to_sorted_list h = List.sort (fun a b -> compare b a) xs)
+      let h = Int_pair_heap.create ~capacity:1 () in
+      List.iter (fun (a, b) -> Int_pair_heap.push h a b) xs;
+      let rec drain acc =
+        if Int_pair_heap.is_empty h then List.rev acc
+        else begin
+          let top = (Int_pair_heap.top_fst h, Int_pair_heap.top_snd h) in
+          Int_pair_heap.drop_top h;
+          drain (top :: acc)
+        end
+      in
+      drain [] = List.sort compare xs)
 
 let test_heap_basic () =
-  let h = Heap.create ~cmp:compare () in
-  check Alcotest.bool "empty" true (Heap.is_empty h);
-  Heap.push h 3;
-  Heap.push h 10;
-  Heap.push h 7;
-  check (Alcotest.option Alcotest.int) "peek" (Some 10) (Heap.peek h);
-  check (Alcotest.option Alcotest.int) "pop" (Some 10) (Heap.pop h);
-  check Alcotest.int "length" 2 (Heap.length h)
+  let h = Int_pair_heap.create () in
+  check Alcotest.bool "empty" true (Int_pair_heap.is_empty h);
+  Int_pair_heap.push h 3 0;
+  Int_pair_heap.push h (-10) 5;
+  Int_pair_heap.push h (-10) 2;
+  Int_pair_heap.push h 7 1;
+  check Alcotest.(pair int int) "top" (-10, 2) (Int_pair_heap.top_fst h, Int_pair_heap.top_snd h);
+  Int_pair_heap.drop_top h;
+  check Alcotest.(pair int int) "tie on primary pops smaller secondary first" (-10, 5)
+    (Int_pair_heap.top_fst h, Int_pair_heap.top_snd h);
+  check Alcotest.int "length" 3 (Int_pair_heap.length h);
+  Alcotest.check_raises "empty top" (Invalid_argument "Int_pair_heap: empty heap") (fun () ->
+      ignore (Int_pair_heap.top_fst (Int_pair_heap.create ())))
 
 (* ---------------------------------------------------------------- Stats *)
 
